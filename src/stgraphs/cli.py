@@ -55,18 +55,11 @@ def _cmd_check(args) -> int:
     return 0
 
 
-_THEOREMS = {
-    "main": ("main", verify.verify_main_theorem, True),
-    "ce": ("chvatal-erdos", verify.verify_chvatal_erdos, True),
-    "wangmou": ("wang-mou", verify.verify_wang_mou, True),
-    "bound": ("edge-bound", verify.verify_edge_bound, False),
-}
-
 DEFAULT_NMAX = 8
 
 
 def _cmd_verify(args) -> int:
-    _, runner, needs_k = _THEOREMS[args.theorem]
+    spec = verify.THEOREMS[args.theorem]
     graphs = None
     if args.input is not None:
         if args.input == "-":
@@ -75,13 +68,13 @@ def _cmd_verify(args) -> int:
             with open(args.input, "r", encoding="ascii") as fh:
                 graphs = verify.read_graph6_lines(fh)
     nmax = args.nmax if args.nmax is not None else DEFAULT_NMAX
-    kwargs = {"graphs": graphs, "jobs": args.jobs}
-    if needs_k:
-        if args.k is None:
-            raise SystemExit(f"error: verify {args.theorem} requires --k")
-        report = runner(nmax, args.k, **kwargs)
+    run = getattr(verify, spec.entry)
+    if spec.k_min is None:
+        report = run(nmax, graphs=graphs, jobs=args.jobs)
+    elif args.k is None:
+        raise SystemExit(f"error: verify {args.theorem} requires --k")
     else:
-        report = runner(nmax, **kwargs)
+        report = run(nmax, args.k, graphs=graphs, jobs=args.jobs)
     print(report.summary())
     for line in report.machine_lines():
         print(line)
@@ -146,13 +139,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("verify", help="run a theorem scan")
-    p.add_argument("theorem", choices=sorted(_THEOREMS))
+    p.add_argument("theorem", choices=sorted(verify.THEOREMS))
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--nmax", type=int, default=None,
                    help=f"largest order to scan (default {DEFAULT_NMAX})")
     p.add_argument("--input", default=None,
                    help="graph6 file (or - for stdin) replacing the generator")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, at least 1 (at most one per CPU is used)")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("find-path", help="hamilton path via rewiring rules + fallback")

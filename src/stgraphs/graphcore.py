@@ -65,6 +65,9 @@ class Graph:
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
+    def __reduce__(self):
+        return (Graph, (self.n, self.adj))
+
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
         rows = [0] * n
@@ -191,27 +194,27 @@ def induced_subgraph(g: Graph, vertices) -> Graph:
     return Graph(len(vs), rows)
 
 
-def connected_components(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """Vertex sets of the components, each ascending, ordered by smallest member."""
-    unseen = g.full_mask()
+def component_masks(adj, mask: int) -> tuple[int, ...]:
+    """Vertex masks of the components of the subgraph induced on mask,
+    ordered by smallest member."""
     comps = []
-    while unseen:
-        start = unseen & -unseen
-        comp = start
-        frontier = start
+    while mask:
+        comp = mask & -mask
+        frontier = comp
         while frontier:
             nxt = 0
             for v in bits(frontier):
-                nxt |= g.adj[v]
-            frontier = nxt & unseen & ~comp
+                nxt |= adj[v]
+            frontier = nxt & mask & ~comp
             comp |= frontier
-        unseen &= ~comp
-        comps.append(tuple(bits(comp)))
+        mask &= ~comp
+        comps.append(comp)
     return tuple(comps)
 
 
-def component_masks(g: Graph) -> tuple[int, ...]:
-    return tuple(mask_of(c) for c in connected_components(g))
+def connected_components(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Vertex sets of the components, each ascending, ordered by smallest member."""
+    return tuple(tuple(bits(c)) for c in component_masks(g.adj, g.full_mask()))
 
 
 def is_connected(g: Graph) -> bool:

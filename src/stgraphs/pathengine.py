@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .graphcore import Graph, bits, mask_of
+from .graphcore import Graph, bits, component_masks, mask_of
 from .predicates import JoinWitness, exception_witness, hamilton_uv_path
 
 
@@ -70,13 +70,6 @@ def anchor(g: Graph, path) -> Optional[AnchoredPath]:
     if len(outside) != 1:
         return None
     return anchored_path(g, path, outside[0])
-
-
-def rho(ap: AnchoredPath) -> int:
-    """Largest anchor gap; defined only with at least two anchors."""
-    if len(ap.anchors) < 2:
-        raise ValueError("rho needs at least two anchors")
-    return max(b - a - 1 for a, b in zip(ap.anchors, ap.anchors[1:]))
 
 
 # -- rewiring rules ------------------------------------------------------
@@ -597,10 +590,6 @@ def _seed_path(g: Graph, u: int, v: int):
     return None
 
 
-def _safe_rho(ap: AnchoredPath) -> int:
-    return ap.rho if len(ap.anchors) >= 2 else 0
-
-
 def _find_move(g: Graph, path: tuple[int, ...]):
     """First applicable move in catalog order, tried on the path and its
     reverse for every outside vertex.  Returns (rule_id, new_path,
@@ -624,7 +613,7 @@ def _find_move(g: Graph, path: tuple[int, ...]):
                     continue
                 new_path = seq[::-1] if reversed_base else seq
                 new_ap = anchor(g, new_path)
-                new_rho = _safe_rho(new_ap) if new_ap else 0
+                new_rho = new_ap.rho if new_ap else 0
                 if new_rho > ap.rho:
                     return rule.id, new_path, ap.rho, new_rho
             else:
@@ -636,8 +625,8 @@ def _find_move(g: Graph, path: tuple[int, ...]):
                 return (
                     rule.id,
                     new_path,
-                    _safe_rho(ap),
-                    _safe_rho(new_ap) if new_ap else 0,
+                    ap.rho,
+                    new_ap.rho if new_ap else 0,
                 )
     return None
 
@@ -667,21 +656,7 @@ def _certificate_candidates(g: Graph, path: tuple[int, ...]):
                 if w not in u0:
                     yield sorted(u0 + [w])
     else:
-        out_mask = mask_of(outside)
-        comps = []
-        rem = out_mask
-        while rem:
-            comp = rem & -rem
-            frontier = comp
-            while frontier:
-                nxt = 0
-                for v in bits(frontier):
-                    nxt |= g.adj[v]
-                frontier = nxt & rem & ~comp
-                comp |= frontier
-            rem &= ~comp
-            comps.append(comp)
-        for comp in comps:
+        for comp in component_masks(g.adj, mask_of(outside)):
             nbr = 0
             for v in bits(comp):
                 nbr |= g.adj[v]

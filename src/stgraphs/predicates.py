@@ -188,18 +188,10 @@ def _reach_and_degree_ok(adj, full, cur, used, vbit) -> bool:
     return True
 
 
-def hamilton_uv_path(g: Graph, u: int, v: int) -> tuple[int, ...] | None:
-    """A Hamilton (u,v)-path as a vertex tuple, or None if none exists."""
-    n = g.n
-    if not (0 <= u < n and 0 <= v < n):
-        raise ValueError("endpoints out of range")
-    if u == v:
-        raise ValueError("endpoints must differ")
-    adj = g.adj
+def _hamilton_path(adj, n: int, u: int, v: int) -> tuple[int, ...] | None:
+    """Hamilton (u,v)-path search on raw bit rows of n >= 3 vertices."""
     full = (1 << n) - 1
     vbit = 1 << v
-    if n == 2:
-        return (u, v) if g.has_edge(u, v) else None
     path = [u]
 
     def dfs(cur, used):
@@ -224,47 +216,31 @@ def hamilton_uv_path(g: Graph, u: int, v: int) -> tuple[int, ...] | None:
     return None
 
 
+def hamilton_uv_path(g: Graph, u: int, v: int) -> tuple[int, ...] | None:
+    """A Hamilton (u,v)-path as a vertex tuple, or None if none exists."""
+    n = g.n
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError("endpoints out of range")
+    if u == v:
+        raise ValueError("endpoints must differ")
+    if n == 2:
+        return (u, v) if g.has_edge(u, v) else None
+    return _hamilton_path(g.adj, n, u, v)
+
+
 def is_hamiltonian(g: Graph) -> bool:
-    """True iff a Hamilton cycle exists; rejects orders below 3."""
+    """True iff a Hamilton cycle exists; rejects orders below 3.
+
+    Vertex n is added as a non-adjacent twin of vertex 0: for n >= 3 a
+    Hamilton (0, twin)-path exists iff a Hamilton cycle does.
+    """
     n = g.n
     if n < 3:
         raise ValueError("hamiltonicity needs at least three vertices")
-    adj = g.adj
-    full = (1 << n) - 1
-    home = 1
-
-    def dfs(cur, used):
-        if used == full:
-            return bool(adj[cur] & home)
-        unused = full & ~used
-        seen = 0
-        frontier = adj[cur] & unused
-        while frontier:
-            seen |= frontier
-            nxt = 0
-            f = frontier
-            while f:
-                b = f & -f
-                f ^= b
-                nxt |= adj[b.bit_length() - 1]
-            frontier = nxt & unused & ~seen
-        if unused & ~seen:
-            return False
-        avail = unused | (1 << cur) | home
-        t = unused
-        while t:
-            b = t & -t
-            t ^= b
-            if (adj[b.bit_length() - 1] & avail & ~b).bit_count() < 2:
-                return False
-        cands = adj[cur] & unused
-        ranked = sorted(bits(cands), key=lambda w: (adj[w] & unused).bit_count())
-        for w in ranked:
-            if dfs(w, used | (1 << w)):
-                return True
-        return False
-
-    return dfs(0, 1)
+    twin = 1 << n
+    adj = [row | twin if row & 1 else row for row in g.adj]
+    adj.append(g.adj[0])
+    return _hamilton_path(adj, n + 1, 0, n) is not None
 
 
 def is_hamiltonian_connected(g: Graph) -> bool:

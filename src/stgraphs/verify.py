@@ -12,11 +12,13 @@ as graph6 strings.
 from __future__ import annotations
 
 import multiprocessing
+import os
 from dataclasses import dataclass
+from typing import Callable
 
 from .graphcore import (
     Graph,
-    bits,
+    Graph6Error,
     canonical_form,
     canonical_label,
     from_graph6,
@@ -139,28 +141,20 @@ def brute_force_connected(n: int):
             yield g
 
 
-def _graph_stream(n_max: int, graphs=None) -> list[str]:
-    """Graph6 work items: the built-in generator for orders 1..n_max, or
-    the caller-supplied iterable of Graph/graph6 entries."""
-    if graphs is not None:
-        out = []
-        for item in graphs:
-            out.append(item if isinstance(item, str) else to_graph6(item))
-        return out
-    items: list[str] = []
-    for n in range(1, n_max + 1):
-        items.extend(_connected_level(n))
-    return items
-
-
 def read_graph6_lines(lines):
-    """Graphs from an iterable of graph6 lines; blanks and headers tolerated."""
+    """Graphs from an iterable of graph6 lines; blanks and headers tolerated.
+
+    A malformed entry raises Graph6Error naming its 1-based line.
+    """
     out = []
-    for line in lines:
+    for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if not line:
             continue
-        out.append(from_graph6(line))
+        try:
+            out.append(from_graph6(line))
+        except Graph6Error as exc:
+            raise Graph6Error(f"line {lineno}: {exc}") from None
     return out
 
 
@@ -171,7 +165,7 @@ def read_graph6_lines(lines):
 class TheoremReport:
     theorem: str  # main | chvatal-erdos | wang-mou | edge-bound
     n_range: tuple[int, int]
-    params: tuple[tuple[str, int], ...]
+    params: tuple[tuple[str, int | str], ...]  # k, then nmax=N or source=input
     scanned: int
     hypothesis_hits: int
     exceptions: tuple[tuple[str, str], ...]  # (graph6, witness kind)
@@ -200,15 +194,9 @@ class TheoremReport:
             yield f"COUNTEREXAMPLE {g6}"
 
     def summary(self) -> str:
-        what = {
-            "main": "hamiltonian-connectivity of k-connected [k+1,2]-graphs",
-            "chvatal-erdos": "hamiltonian-connectivity under connectivity > independence",
-            "wang-mou": "hamiltonicity of k-connected [k+2,2]-graphs",
-            "edge-bound": "the [s,t] edge lower bound",
-        }[self.theorem]
         status = "verified" if self.verified else "REFUTED"
         return (
-            f"{status}: {what}; scanned {self.scanned} graphs"
+            f"{status}: {_theorem(self.theorem).claim}; scanned {self.scanned} graphs"
             f" (orders {self.n_range[0]}..{self.n_range[1]}),"
             f" {self.hypothesis_hits} hypothesis hits,"
             f" {len(self.exceptions)} exceptions,"
@@ -216,161 +204,177 @@ class TheoremReport:
         )
 
 
-def _merge_reports(theorem, params, parts) -> TheoremReport:
-    scanned = sum(p["scanned"] for p in parts)
-    hits = sum(p["hits"] for p in parts)
-    n_lo = min((p["n_lo"] for p in parts if p["n_lo"]), default=0)
-    n_hi = max((p["n_hi"] for p in parts if p["n_hi"]), default=0)
-    exceptions = tuple(sorted(set(e for p in parts for e in p["exceptions"])))
-    counters = tuple(sorted(set(c for p in parts for c in p["counterexamples"])))
-    return TheoremReport(theorem, (n_lo, n_hi), params, scanned, hits, exceptions, counters)
+# -- theorem scans -------------------------------------------------------
+#
+# Every theorem runs one pipeline: test the hypotheses in order, decide
+# the conclusion, and certify the allowed exceptions.  A judge maps
+# (graph, k) to (hypothesis hits, exception or None, refuted); an
+# exception recognizer maps (graph, k) to (kind, witness or None) or
+# None, and revalidate_report calls the same recognizer the scan did.
 
 
-def _scan_main(args):
-    k, items = args
-    part = {"scanned": 0, "hits": 0, "n_lo": 0, "n_hi": 0,
-            "exceptions": [], "counterexamples": []}
-    for g6 in items:
-        g = from_graph6(g6)
-        part["scanned"] += 1
-        part["n_lo"] = min(part["n_lo"] or g.n, g.n)
-        part["n_hi"] = max(part["n_hi"], g.n)
-        if g.n < k + 1:
-            continue
-        if not is_st_graph(g, k + 1, 2):
-            continue
-        if vertex_connectivity(g) < k:
-            continue
-        part["hits"] += 1
-        witness = exception_witness(g, k)
-        hc = is_hamiltonian_connected(g)
-        cg6 = to_graph6(canonical_form(g))
-        if hc == (witness is not None):
-            part["counterexamples"].append(cg6)
-        elif witness is not None:
-            part["exceptions"].append((cg6, "join-witness"))
-    return part
+def _main_exception(g: Graph, k: int):
+    """An independent k-set joined to an arbitrary graph on k vertices."""
+    w = exception_witness(g, k)
+    return None if w is None else ("join-witness", w)
 
 
-def _scan_ce(args):
-    k, items = args
-    part = {"scanned": 0, "hits": 0, "n_lo": 0, "n_hi": 0,
-            "exceptions": [], "counterexamples": []}
-    for g6 in items:
-        g = from_graph6(g6)
-        part["scanned"] += 1
-        part["n_lo"] = min(part["n_lo"] or g.n, g.n)
-        part["n_hi"] = max(part["n_hi"], g.n)
-        if g.n < k + 1:
-            continue
-        if independence_number(g) > k - 1:
-            continue
-        if vertex_connectivity(g) < k:
-            continue
-        part["hits"] += 1
-        if not is_hamiltonian_connected(g):
-            part["counterexamples"].append(to_graph6(canonical_form(g)))
-    return part
+def _wang_mou_exception(g: Graph, k: int):
+    """The Petersen graph, or an independent (k+1)-set joined to k vertices."""
+    if is_petersen(g):
+        return "petersen", None
+    w = join_witness(g, k + 1) if g.n == 2 * k + 1 else None
+    return None if w is None else ("join-witness", w)
 
 
-def _scan_wang_mou(args):
-    k, items = args
-    part = {"scanned": 0, "hits": 0, "n_lo": 0, "n_hi": 0,
-            "exceptions": [], "counterexamples": []}
-    for g6 in items:
-        g = from_graph6(g6)
-        part["scanned"] += 1
-        part["n_lo"] = min(part["n_lo"] or g.n, g.n)
-        part["n_hi"] = max(part["n_hi"], g.n)
-        if g.n < max(3, k + 1):
-            continue
-        if not is_st_graph(g, k + 2, 2):
-            continue
-        if vertex_connectivity(g) < k:
-            continue
-        part["hits"] += 1
-        petersen = is_petersen(g)
-        witness = None
-        if g.n == 2 * k + 1:
-            witness = join_witness(g, k + 1)
-        exceptional = petersen or witness is not None
-        ham = is_hamiltonian(g)
-        cg6 = to_graph6(canonical_form(g))
-        if ham == exceptional:
-            part["counterexamples"].append(cg6)
-        elif petersen:
-            part["exceptions"].append((cg6, "petersen"))
-        elif witness is not None:
-            part["exceptions"].append((cg6, "join-witness"))
-    return part
+def _judge_main(g: Graph, k: int):
+    if g.n < k + 1 or not is_st_graph(g, k + 1, 2) or vertex_connectivity(g) < k:
+        return 0, None, False
+    exception = _main_exception(g, k)
+    return 1, exception, is_hamiltonian_connected(g) == (exception is not None)
 
 
-def _scan_bound(args):
-    _, items = args
-    part = {"scanned": 0, "hits": 0, "n_lo": 0, "n_hi": 0,
-            "exceptions": [], "counterexamples": []}
-    for g6 in items:
-        g = from_graph6(g6)
-        part["scanned"] += 1
-        part["n_lo"] = min(part["n_lo"] or g.n, g.n)
-        part["n_hi"] = max(part["n_hi"], g.n)
-        n, e = g.n, g.edge_count
-        bad = False
-        for s in range(2, n + 1):
-            t_star = min_induced_edges(g, s)
-            part["hits"] += 1
-            # integer comparison of e >= t*.n(n-1)/(s(s-1))
-            if s * (s - 1) * e < t_star * n * (n - 1):
-                bad = True
-        if bad:
-            part["counterexamples"].append(to_graph6(canonical_form(g)))
-    return part
+def _judge_chvatal_erdos(g: Graph, k: int):
+    if g.n < k + 1 or independence_number(g) > k - 1 or vertex_connectivity(g) < k:
+        return 0, None, False
+    return 1, None, not is_hamiltonian_connected(g)
 
 
-_SCANNERS = {
-    "main": _scan_main,
-    "chvatal-erdos": _scan_ce,
-    "wang-mou": _scan_wang_mou,
-    "edge-bound": _scan_bound,
+def _judge_wang_mou(g: Graph, k: int):
+    if g.n < max(3, k + 1) or not is_st_graph(g, k + 2, 2) or vertex_connectivity(g) < k:
+        return 0, None, False
+    exception = _wang_mou_exception(g, k)
+    return 1, exception, is_hamiltonian(g) == (exception is not None)
+
+
+def _judge_edge_bound(g: Graph, k: int):
+    n, e = g.n, g.edge_count
+    orders = range(2, n + 1)
+    # one hit per order s; integer comparison of e >= t*.n(n-1)/(s(s-1))
+    refuted = any(s * (s - 1) * e < min_induced_edges(g, s) * n * (n - 1) for s in orders)
+    return len(orders), None, refuted
+
+
+@dataclass(frozen=True)
+class Theorem:
+    """One theorem scan.
+
+    ``k_min`` is the smallest k the theorem takes, None when it takes no
+    k.  ``entry`` names the public scan function; callers look it up on
+    this module at call time, so wrappers installed there see the call.
+    """
+
+    name: str
+    k_min: int | None
+    claim: str
+    judge: Callable
+    exception: Callable | None
+    entry: str
+
+
+THEOREMS = {
+    "main": Theorem(
+        "main", 2, "hamiltonian-connectivity of k-connected [k+1,2]-graphs",
+        _judge_main, _main_exception, "verify_main_theorem",
+    ),
+    "ce": Theorem(
+        "chvatal-erdos", 2, "hamiltonian-connectivity under connectivity > independence",
+        _judge_chvatal_erdos, None, "verify_chvatal_erdos",
+    ),
+    "wangmou": Theorem(
+        "wang-mou", 1, "hamiltonicity of k-connected [k+2,2]-graphs",
+        _judge_wang_mou, _wang_mou_exception, "verify_wang_mou",
+    ),
+    "bound": Theorem(
+        "edge-bound", None, "the [s,t] edge lower bound",
+        _judge_edge_bound, None, "verify_edge_bound",
+    ),
 }
 
 
-def _run_scan(theorem, params, k, n_max, graphs, jobs) -> TheoremReport:
-    items = _graph_stream(n_max, graphs)
-    scan = _SCANNERS[theorem]
-    if jobs <= 1 or len(items) < 2 * jobs:
-        parts = [scan((k, items))]
+def _theorem(report_name: str) -> Theorem:
+    return next(t for t in THEOREMS.values() if t.name == report_name)
+
+
+def _worker_count(jobs: int, cpus: int | None) -> int:
+    """Pool size for a scan: the requested jobs, at most one per CPU."""
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
+    return min(jobs, cpus or 1)
+
+
+def _scan_slice(args):
+    """Judge one slice of work items (Graph or graph6); returns the orders
+    seen, the hypothesis hits, and the canonical graph6 certificates."""
+    key, k, items = args
+    judge = THEOREMS[key].judge
+    orders: set[int] = set()
+    hits = 0
+    exceptions: list[tuple[str, str]] = []
+    counters: list[str] = []
+    for item in items:
+        g = from_graph6(item) if isinstance(item, str) else item
+        orders.add(g.n)
+        h, exception, refuted = judge(g, k)
+        hits += h
+        if refuted:
+            counters.append(to_graph6(canonical_form(g)))
+        elif exception is not None:
+            exceptions.append((to_graph6(canonical_form(g)), exception[0]))
+    return orders, hits, exceptions, counters
+
+
+def _scan(key: str, n_max: int, k: int | None, graphs, jobs: int) -> TheoremReport:
+    """Run one theorem over the generator's orders 1..n_max, or over the
+    caller's graphs (Graph or graph6 items) when given."""
+    spec = THEOREMS[key]
+    if spec.k_min is not None and k < spec.k_min:
+        raise ValueError(f"k must be at least {spec.k_min}")
+    workers = _worker_count(jobs, os.cpu_count())
+    if graphs is None:
+        if not 1 <= n_max <= ENUM_MAX:
+            raise ValueError(f"nmax must be within 1..{ENUM_MAX}")
+        items = [g6 for n in range(1, n_max + 1) for g6 in _connected_level(n)]
+        source = ("nmax", n_max)
     else:
-        slices = [items[i::jobs] for i in range(jobs)]
-        with multiprocessing.Pool(jobs) as pool:
-            parts = pool.map(scan, [(k, s) for s in slices])
-    return _merge_reports(theorem, params, parts)
+        items = list(graphs)
+        if not items:
+            raise ValueError("no graphs to scan")
+        source = ("source", "input")
+    if workers == 1 or len(items) < 2 * workers:
+        parts = [_scan_slice((key, k, items))]
+    else:
+        slices = [(key, k, items[i::workers]) for i in range(workers)]
+        with multiprocessing.Pool(workers) as pool:
+            parts = pool.map(_scan_slice, slices)
+    orders = set().union(*(p[0] for p in parts))
+    return TheoremReport(
+        spec.name,
+        (min(orders), max(orders)),
+        (source,) if spec.k_min is None else (("k", k), source),
+        len(items),
+        sum(p[1] for p in parts),
+        tuple(sorted({e for p in parts for e in p[2]})),
+        tuple(sorted({c for p in parts for c in p[3]})),
+    )
 
 
 def verify_main_theorem(n_max: int, k: int, graphs=None, jobs: int = 1) -> TheoremReport:
     """Scan: every k-connected [k+1,2]-graph is hamiltonian-connected
     exactly unless it splits as an independent k-set joined to the rest."""
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    return _run_scan("main", (("k", k), ("nmax", n_max)), k, n_max, graphs, jobs)
+    return _scan("main", n_max, k, graphs, jobs)
 
 
 def verify_chvatal_erdos(n_max: int, k: int, graphs=None, jobs: int = 1) -> TheoremReport:
     """Scan: k-connected graphs with independence number below k are
     hamiltonian-connected, with no exceptions allowed."""
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    return _run_scan(
-        "chvatal-erdos", (("k", k), ("nmax", n_max)), k, n_max, graphs, jobs
-    )
+    return _scan("ce", n_max, k, graphs, jobs)
 
 
 def verify_wang_mou(n_max: int, k: int, graphs=None, jobs: int = 1) -> TheoremReport:
     """Scan: every k-connected [k+2,2]-graph is hamiltonian except the
     Petersen graph and an independent (k+1)-set joined to k vertices."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    return _run_scan("wang-mou", (("k", k), ("nmax", n_max)), k, n_max, graphs, jobs)
+    return _scan("wangmou", n_max, k, graphs, jobs)
 
 
 def verify_edge_bound(n_max: int, graphs=None, jobs: int = 1) -> TheoremReport:
@@ -378,26 +382,20 @@ def verify_edge_bound(n_max: int, graphs=None, jobs: int = 1) -> TheoremReport:
     t*.n(n-1)/(s(s-1)) where t* is the exact induced-subgraph minimum."""
     if graphs is None and n_max > 9:
         raise ValueError("full-range bound scans cover orders up to 9")
-    return _run_scan("edge-bound", (("nmax", n_max),), 0, n_max, graphs, jobs)
+    return _scan("bound", n_max, None, graphs, jobs)
 
 
 def revalidate_report(report: TheoremReport) -> bool:
-    """Re-run every exception certificate on its decoded graph."""
-    params = dict(report.params)
-    k = params.get("k", 0)
+    """Re-derive every exception certificate with the recognizer the scan
+    used, and validate its witness on the decoded graph."""
+    recognize = _theorem(report.theorem).exception
+    k = dict(report.params).get("k", 0)
     for g6, kind in report.exceptions:
         g = from_graph6(g6)
-        if kind == "petersen":
-            if not is_petersen(g):
-                return False
-        elif kind == "join-witness":
-            if report.theorem == "main":
-                w = exception_witness(g, k)
-            else:  # wang-mou: independent part k+1, rest k
-                w = join_witness(g, k + 1) if g.n == 2 * k + 1 else None
-            if w is None or not w.validate(g):
-                return False
-        else:
+        found = recognize(g, k) if recognize is not None else None
+        if found is None or found[0] != kind:
+            return False
+        if found[1] is not None and not found[1].validate(g):
             return False
     return True
 

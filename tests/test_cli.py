@@ -1,8 +1,11 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import stgraphs
 from stgraphs.cli import main
 from stgraphs.graphcore import canonical_label, cycle_graph, from_graph6, petersen_graph, to_graph6
 
@@ -72,12 +75,50 @@ def test_verify_with_input_file(capsys, tmp_path):
     assert code == 0
     assert "petersen" in out
     assert "scanned=1" in out
+    # the header names the true source of the graphs, not the ignored --nmax
+    assert "REPORT theorem=wang-mou k=3 source=input\n" in out
+    assert "nmax" not in out
 
 
 def test_verify_jobs_flag_is_deterministic(capsys):
     _, seq = run_cli(capsys, "verify", "main", "--k", "2", "--nmax", "5")
     _, par = run_cli(capsys, "verify", "main", "--k", "2", "--nmax", "5", "--jobs", "2")
     assert seq == par
+
+
+def test_verify_input_jobs_flag_is_deterministic(capsys, tmp_path):
+    # pooled --input scans send decoded Graph items to the workers
+    _, out = run_cli(capsys, "gen", "--n", "5")
+    fp = tmp_path / "n5.g6"
+    fp.write_text(out)
+    _, seq = run_cli(capsys, "verify", "wangmou", "--k", "2", "--input", str(fp))
+    _, par = run_cli(
+        capsys, "verify", "wangmou", "--k", "2", "--input", str(fp), "--jobs", "2"
+    )
+    assert seq == par
+    assert "scanned=21" in seq and "EXCEPTION" in seq
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "main", "--k", "2", "--nmax", "0"],
+        ["verify", "main", "--k", "2", "--nmax", "11"],
+        ["verify", "main", "--k", "2", "--nmax", "5", "--jobs", "0"],
+    ],
+)
+def test_verify_rejects_bad_ranges(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert str(exc.value.code).startswith("error:")
+
+
+def test_verify_rejects_empty_input(tmp_path):
+    fp = tmp_path / "empty.g6"
+    fp.write_text("\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "main", "--k", "2", "--input", str(fp)])
+    assert str(exc.value.code).startswith("error:")
 
 
 def test_find_path_success(capsys):
@@ -153,11 +194,15 @@ def test_gen_range_errors(capsys, argv):
 
 
 def test_console_entry_point_subprocess():
+    # the child imports the package under test, installed or not
+    src = str(Path(stgraphs.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "stgraphs.cli", "check", "C~"],
         capture_output=True,
         text=True,
         timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert "order: 4" in proc.stdout

@@ -1,3 +1,4 @@
+import pickle
 import random
 from itertools import combinations, permutations
 
@@ -9,6 +10,7 @@ from stgraphs.graphcore import (
     canonical_form,
     canonical_label,
     complete_graph,
+    component_masks,
     connected_components,
     cycle_graph,
     empty_graph,
@@ -173,6 +175,13 @@ def test_connected_components():
     assert connected_components(empty_graph(3)) == ((0,), (1,), (2,))
     cut = induced_subgraph(cycle_graph(4), [0, 2])
     assert connected_components(cut) == ((0,), (1,))
+    # components of the subgraph induced on {0, 2, 3, 5} of the 6-cycle
+    assert component_masks(cycle_graph(6).adj, 0b101101) == (0b000001 | 0b100000, 0b001100)
+
+
+def test_graph_pickles():
+    for g in (petersen_graph(), empty_graph(0), complete_graph(5)):
+        assert pickle.loads(pickle.dumps(g)) == g
 
 
 # -- canonical labeling ------------------------------------------------------

@@ -12,7 +12,6 @@ from stgraphs.pathengine import (
     apply_rule,
     engine_with_fallback,
     improve,
-    rho,
     validate_path,
 )
 from stgraphs.predicates import hamilton_uv_path, is_st_graph, is_k_connected, exception_witness
@@ -46,7 +45,7 @@ def test_anchor_examples():
     assert ap.outside == 3 and ap.anchors == (0, 1, 2) and ap.rho == 0
     c5 = cycle_graph(5)
     ap = anchor(c5, (0, 1, 2, 3))
-    assert ap.outside == 4 and ap.anchors == (0, 3) and rho(ap) == 2
+    assert ap.outside == 4 and ap.anchors == (0, 3) and ap.rho == 2
     assert anchor(k4, (0, 1, 2, 3)) is None
     assert anchor(cycle_graph(6), (0, 1, 2, 3)) is None  # two vertices outside
 
@@ -70,15 +69,15 @@ def test_anchor_completeness_random():
 def test_rho_examples():
     g = path_plus(6, [], [0, 2, 4])
     ap = anchored_path(g, (0, 1, 2, 3, 4), 5)
-    assert ap.anchors == (0, 2, 4) and rho(ap) == 1
+    assert ap.anchors == (0, 2, 4) and ap.rho == 1
     g = path_plus(8, [], [0, 3, 6])
     ap = anchored_path(g, (0, 1, 2, 3, 4, 5, 6), 7)
-    assert rho(ap) == 2
+    assert ap.rho == 2
     g = path_plus(4, [], [0, 1])
     ap = anchored_path(g, (0, 1, 2), 3)
-    assert rho(ap) == 0
-    with pytest.raises(ValueError):
-        rho(anchored_path(g, (1, 2), 3))
+    assert ap.rho == 0
+    ap = anchored_path(g, (1, 2), 3)
+    assert ap.anchors == (0,) and ap.rho == 0  # a single anchor has no gap
 
 
 # -- rule transcription instances -------------------------------------------

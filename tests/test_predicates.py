@@ -175,6 +175,22 @@ def test_is_hamiltonian_examples():
     assert is_hamiltonian(join(empty_graph(3), complete_graph(3)))
     with pytest.raises(ValueError):
         is_hamiltonian(complete_graph(2))
+    # the twin vertex the search adds must not overflow the 64-vertex cap
+    assert is_hamiltonian(cycle_graph(64))
+    assert not is_hamiltonian(path_graph(64))
+
+
+def test_is_hamiltonian_matches_permutation_oracle():
+    rng = random.Random(53)
+    for _ in range(150):
+        n = rng.randint(3, 7)
+        g = random_graph(rng, n, rng.choice([0.35, 0.5, 0.65]))
+        want = any(
+            g.has_edge(seq[-1], 0)
+            and all(g.has_edge(seq[i], seq[i + 1]) for i in range(n - 1))
+            for seq in ((0,) + p for p in permutations(range(1, n)))
+        )
+        assert is_hamiltonian(g) == want
 
 
 def test_is_hamiltonian_connected_examples():

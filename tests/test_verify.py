@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import pytest
 
 from stgraphs.graphcore import (
+    Graph6Error,
     canonical_form,
     canonical_label,
     complete_graph,
@@ -20,6 +23,7 @@ from stgraphs.predicates import (
 )
 from stgraphs.verify import (
     TheoremReport,
+    _worker_count,
     brute_force_connected,
     enumerate_connected,
     min_size_search,
@@ -178,6 +182,7 @@ def test_wang_mou_petersen_via_input_stream():
     assert report.scanned == 1 and report.hypothesis_hits == 1
     assert [kind for _, kind in report.exceptions] == ["petersen"]
     assert revalidate_report(report)
+    assert next(report.machine_lines()) == "REPORT theorem=wang-mou k=3 source=input"
 
 
 # -- edge bound ---------------------------------------------------------------------
@@ -208,7 +213,7 @@ def test_edge_bound_examples():
 
 def test_reports_identical_across_worker_counts():
     seq = verify_main_theorem(6, 2, jobs=1)
-    par = verify_main_theorem(6, 2, jobs=3)
+    par = verify_main_theorem(6, 2, jobs=2)
     assert list(seq.machine_lines()) == list(par.machine_lines())
     seq = verify_edge_bound(6, jobs=1)
     par = verify_edge_bound(6, jobs=2)
@@ -223,6 +228,38 @@ def test_input_stream_tolerates_headers_and_blanks():
     assert report.scanned == 2
     assert report.verified
     assert len(report.exceptions) == 1  # the 4-cycle
+
+
+def test_revalidate_rejects_certificates_the_scan_cannot_emit():
+    report = verify_main_theorem(6, 2)
+    pet = to_graph6(canonical_form(petersen_graph()))
+    c5 = to_graph6(canonical_form(cycle_graph(5)))
+    for forged in (report.exceptions + ((pet, "petersen"),), ((c5, "join-witness"),)):
+        assert not revalidate_report(replace(report, exceptions=forged))
+
+
+def test_input_stream_names_malformed_line():
+    with pytest.raises(Graph6Error, match=r"^line 3: malformed length: "):
+        read_graph6_lines(["C~", "", "C"])
+
+
+def test_scans_reject_empty_ranges():
+    with pytest.raises(ValueError):
+        verify_main_theorem(0, 2)
+    with pytest.raises(ValueError):
+        verify_chvatal_erdos(11, 2)
+    with pytest.raises(ValueError):
+        verify_edge_bound(8, graphs=[])
+
+
+def test_worker_count_is_capped_by_cpus():
+    assert _worker_count(1, 8) == 1
+    assert _worker_count(3, 2) == 2
+    assert _worker_count(4, 4) == 4
+    assert _worker_count(2, None) == 1
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            _worker_count(bad, 8)
 
 
 def test_hypothesis_filter_excludes_non_st_graphs():
