@@ -119,8 +119,8 @@ def _cmd_min_size(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    for g in verify.enumerate_connected(args.n):
-        print(graphcore.to_graph6(g))
+    for g6 in verify.connected_graph6(args.n):
+        print(g6)
     return 0
 
 

@@ -69,6 +69,15 @@ class Graph:
         return (Graph, (self.n, self.adj))
 
     @classmethod
+    def _from_rows(cls, n: int, rows) -> "Graph":
+        """Graph from rows the package built itself, symmetric, loop-free
+        and within n; skips the O(n^2) checks of the public constructor."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", tuple(rows))
+        return g
+
+    @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
         rows = [0] * n
         for u, v in edges:
@@ -374,7 +383,7 @@ def canonical_form(g: Graph) -> Graph:
     for i, v in enumerate(order):
         for u in bits(g.adj[v]):
             rows[i] |= 1 << pos[u]
-    return Graph(g.n, rows)
+    return Graph._from_rows(g.n, rows)
 
 
 def marked_label(g: Graph, v: int) -> bytes:
@@ -447,4 +456,4 @@ def from_graph6(text: str) -> Graph:
         if (vals[1 + k // 6] >> (5 - k % 6)) & 1:
             raise Graph6Error("nonzero trailing padding bits")
         k += 1
-    return Graph(n, rows)
+    return Graph._from_rows(n, rows)

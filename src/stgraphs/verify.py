@@ -19,6 +19,7 @@ from typing import Callable
 from .graphcore import (
     Graph,
     Graph6Error,
+    _refine,
     canonical_form,
     canonical_label,
     from_graph6,
@@ -49,31 +50,48 @@ def _canonical_augmentation(child: Graph) -> bool:
     """Accept the child (new vertex = last index) iff the new vertex is a
     canonical choice among deletable vertices.
 
-    Deletable means non-cut.  The canonical choice minimizes, over
-    deletable vertices, first the refinement cell index (an isomorphism
-    invariant) and then the vertex-marked canonical label, so isomorphic
-    children accept exactly one deletion orbit.
-    """
-    from .graphcore import _refine
+    Deletable means non-cut; the new vertex z always is, because the
+    parent it was attached to is connected.  The canonical choice
+    minimizes, over deletable vertices, first the cell index after
+    refining the degree partition (an isomorphism invariant) and then
+    the vertex-marked canonical label, so isomorphic children accept
+    exactly one deletion orbit.
 
+    Refinement only splits cells in place and the initial cells are
+    sorted by degree, so a vertex of smaller degree always has a smaller
+    cell index.  Hence, with d = deg(z): a deletable vertex of degree
+    < d rejects the child outright, vertices of degree > d never matter,
+    and refinement is needed only when another deletable vertex has
+    degree d.  This decides the same acceptance as comparing cell
+    indices over all deletable vertices.
+    """
+    adj = child.adj
     n = child.n
     z = n - 1
     full = (1 << n) - 1
-    deletable = [
-        v for v in range(n) if subset_connected(child.adj, full & ~(1 << v))
+    degs = [row.bit_count() for row in adj]
+    d = degs[z]
+    for v in range(z):
+        if degs[v] < d and subset_connected(adj, full & ~(1 << v)):
+            return False
+    rivals = [
+        v for v in range(z)
+        if degs[v] == d and subset_connected(adj, full & ~(1 << v))
     ]
+    if not rivals:
+        return True
     by_deg: dict[int, list[int]] = {}
     for v in range(n):
-        by_deg.setdefault(child.adj[v].bit_count(), []).append(v)
-    cells = _refine(child.adj, [by_deg[d] for d in sorted(by_deg)])
+        by_deg.setdefault(degs[v], []).append(v)
+    cells = _refine(adj, [by_deg[k] for k in sorted(by_deg)])
     cell_of = {}
     for idx, cell in enumerate(cells):
         for v in cell:
             cell_of[v] = idx
-    cmin = min(cell_of[v] for v in deletable)
-    if cell_of[z] != cmin:
+    cz = cell_of[z]
+    if any(cell_of[v] < cz for v in rivals):
         return False
-    rivals = [v for v in deletable if cell_of[v] == cmin and v != z]
+    rivals = [v for v in rivals if cell_of[v] == cz]
     if not rivals:
         return True
     lz = marked_label(child, z)
@@ -89,7 +107,7 @@ def _grow_level(parents: tuple[str, ...]) -> tuple[str, ...]:
         for smask in range(1, 1 << m):
             rows = [parent.adj[v] | (((smask >> v) & 1) << m) for v in range(m)]
             rows.append(smask)
-            child = Graph(m + 1, rows)
+            child = Graph._from_rows(m + 1, rows)
             if _canonical_augmentation(child):
                 lbl = canonical_label(child)
                 if lbl not in children:
@@ -107,12 +125,17 @@ def _connected_level(n: int) -> tuple[str, ...]:
     return _level_cache[n]
 
 
-def enumerate_connected(n: int):
-    """One representative per isomorphism class of connected graphs of
-    order n, in a deterministic order."""
+def connected_graph6(n: int) -> tuple[str, ...]:
+    """graph6 strings of one representative per isomorphism class of
+    connected graphs of order n, in a deterministic order."""
     if not 1 <= n <= ENUM_MAX:
         raise ValueError(f"order must be within 1..{ENUM_MAX}")
-    for g6 in _connected_level(n):
+    return _connected_level(n)
+
+
+def enumerate_connected(n: int):
+    """The graphs of connected_graph6(n), decoded."""
+    for g6 in connected_graph6(n):
         yield from_graph6(g6)
 
 

@@ -98,6 +98,8 @@ def test_graph_validation():
         Graph(65, [0] * 65)
     with pytest.raises(ValueError):
         Graph.from_edges(3, [(0, 0)])
+    with pytest.raises(ValueError):  # unpickling validates trusted rows too
+        pickle.loads(pickle.dumps(Graph._from_rows(2, [0b10, 0b00])))
 
 
 def test_random_graphs_symmetric_irreflexive():
@@ -251,7 +253,11 @@ def test_graph6_round_trip_random():
     rng = random.Random(31)
     for _ in range(200):
         g = random_graph(rng, rng.randint(0, 20), rng.random())
-        assert from_graph6(to_graph6(g)) == g
+        h = from_graph6(to_graph6(g))
+        assert h == g and hash(h) == hash(g)
+        assert Graph(h.n, h.adj) == h  # decoded rows pass full validation
+        c = canonical_form(g)
+        assert Graph(c.n, c.adj) == c
     assert from_graph6(to_graph6(petersen_graph())) == petersen_graph()
 
 

@@ -1,9 +1,12 @@
+import hashlib
 from dataclasses import replace
 
 import pytest
 
 from stgraphs.graphcore import (
+    Graph,
     Graph6Error,
+    _refine,
     canonical_form,
     canonical_label,
     complete_graph,
@@ -12,7 +15,9 @@ from stgraphs.graphcore import (
     from_graph6,
     is_connected,
     join,
+    marked_label,
     petersen_graph,
+    subset_connected,
     to_graph6,
 )
 from stgraphs.predicates import (
@@ -23,6 +28,8 @@ from stgraphs.predicates import (
 )
 from stgraphs.verify import (
     TheoremReport,
+    _canonical_augmentation,
+    _connected_level,
     _worker_count,
     brute_force_connected,
     enumerate_connected,
@@ -64,6 +71,49 @@ def test_enumerate_connected_range_errors():
         list(enumerate_connected(0))
     with pytest.raises(ValueError):
         list(enumerate_connected(11))
+
+
+def reference_augmentation(child):
+    """The acceptance rule by its definition: over all non-cut vertices,
+    minimize the refined cell index, then the vertex-marked label."""
+    n = child.n
+    z = n - 1
+    full = (1 << n) - 1
+    deletable = [v for v in range(n) if subset_connected(child.adj, full & ~(1 << v))]
+    by_deg = {}
+    for v in range(n):
+        by_deg.setdefault(child.degree(v), []).append(v)
+    cells = _refine(child.adj, [by_deg[d] for d in sorted(by_deg)])
+    cell_of = {v: i for i, cell in enumerate(cells) for v in cell}
+    cmin = min(cell_of[v] for v in deletable)
+    if cell_of[z] != cmin:
+        return False
+    lz = marked_label(child, z)
+    return all(
+        marked_label(child, v) >= lz for v in deletable if cell_of[v] == cmin and v != z
+    )
+
+
+def test_augmentation_matches_reference_definition():
+    children = accepted = 0
+    for m in range(1, 7):
+        for parent in enumerate_connected(m):
+            for smask in range(1, 1 << m):
+                rows = [parent.adj[v] | (((smask >> v) & 1) << m) for v in range(m)]
+                child = Graph(m + 1, rows + [smask])
+                got = _canonical_augmentation(child)
+                assert got == reference_augmentation(child), to_graph6(child)
+                children += 1
+                accepted += got
+    assert children == 7815 and 0 < accepted < children
+
+
+def test_connected_levels_golden_digest():
+    """Pins the canonical representatives that certificates quote."""
+    text = "\n".join(g6 for n in range(1, 8) for g6 in _connected_level(n))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "198f4e4cf159cb0e05d62f124d6f729bc1ef30bb51382453ce53158486f1deec"
+    )
 
 
 def test_brute_force_examples():
