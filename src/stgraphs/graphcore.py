@@ -422,6 +422,13 @@ def to_graph6(g: Graph) -> str:
     return "".join(out)
 
 
+@lru_cache(maxsize=None)
+def _pair_bits(n: int):
+    """For each bit position p of an order-n graph6 bit string read as one
+    int (the last pair at p = 0): the pair's vertices i, j and bit(i), bit(j)."""
+    return tuple((i, j, 1 << i, 1 << j) for i, j in reversed(tuple(_pair_order(n))))
+
+
 def from_graph6(text: str) -> Graph:
     """Parse one short-form graph6 string; a '>>graph6<<' prefix is tolerated."""
     s = text.strip()
@@ -429,31 +436,31 @@ def from_graph6(text: str) -> Graph:
         s = s[len(GRAPH6_HEADER):].strip()
     if not s:
         raise Graph6Error("empty graph6 string")
-    vals = []
-    for c in s:
-        x = ord(c) - 63
-        if x < 0 or x > 63:
-            raise Graph6Error(f"character {c!r} out of graph6 range")
-        vals.append(x)
-    n = vals[0]
+    if min(s) < "?" or max(s) > "~":
+        c = next(c for c in s if not "?" <= c <= "~")
+        raise Graph6Error(f"character {c!r} out of graph6 range")
+    n = ord(s[0]) - 63
     if n == 63:
         raise Graph6Error("long-form graph6 (order >= 63) is not supported")
     width = n * (n - 1) // 2
     need = (width + 5) // 6
-    if len(vals) - 1 != need:
+    if len(s) - 1 != need:
         raise Graph6Error(
-            f"malformed length: order {n} needs {need} data characters, got {len(vals) - 1}"
+            f"malformed length: order {n} needs {need} data characters, got {len(s) - 1}"
         )
+    code = 0
+    for c in s[1:]:
+        code = (code << 6) | (ord(c) - 63)
+    pad = 6 * need - width
+    if code & ((1 << pad) - 1):
+        raise Graph6Error("nonzero trailing padding bits")
+    code >>= pad
     rows = [0] * n
-    k = 0
-    for i, j in _pair_order(n):
-        if (vals[1 + k // 6] >> (5 - k % 6)) & 1:
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-        k += 1
-    total = 6 * need
-    while k < total:
-        if (vals[1 + k // 6] >> (5 - k % 6)) & 1:
-            raise Graph6Error("nonzero trailing padding bits")
-        k += 1
+    table = _pair_bits(n)
+    while code:
+        b = code & -code
+        code ^= b
+        i, j, bi, bj = table[b.bit_length() - 1]
+        rows[i] |= bj
+        rows[j] |= bi
     return Graph._from_rows(n, rows)

@@ -2,8 +2,9 @@
 
 Everything here is exhaustive or exact search tuned for graphs of at
 most a dozen vertices: subset edge-count minimization, independence
-number by branch-and-bound, vertex connectivity by vertex-split
-max-flow, and Hamilton path/cycle search by pruned backtracking.
+number by branch-and-bound, vertex connectivity and the threshold test
+kappa >= k by a bitset vertex-split max-flow, and Hamilton path/cycle
+search by pruned backtracking.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graphcore import Graph, bits, connected_components, mask_of
+from .graphcore import Graph, bits, mask_of
 
 VACUOUS = math.inf
 
@@ -90,68 +91,100 @@ def independence_number(g: Graph) -> int:
     return best
 
 
-def _max_internally_disjoint_paths(g: Graph, s: int, t: int) -> int:
-    """Unit-capacity vertex-split max-flow between nonadjacent s and t."""
-    n = g.n
-    # node 2v = entry of v, 2v+1 = exit of v; source = exit of s, sink = entry of t
-    cap: dict[tuple[int, int], int] = {}
-    nbrs: dict[int, list[int]] = {}
+def _local_connectivity(adj, n: int, s: int, t: int, cap: int) -> int:
+    """min(cap, number of internally disjoint (s,t)-paths) for nonadjacent s, t.
 
-    def add(a, b, c):
-        if (a, b) not in cap:
-            cap[(a, b)] = 0
-            cap[(b, a)] = 0
-            nbrs.setdefault(a, []).append(b)
-            nbrs.setdefault(b, []).append(a)
-        cap[(a, b)] += c
-
+    Unit-capacity max-flow on the vertex-split graph: node 2v is the
+    entry of v and 2v+1 its exit, with arcs entry(v) -> exit(v) and
+    exit(u) -> entry(w) for every edge uw.  No two original arcs are
+    antiparallel and every capacity is 0 or 1, so the residual arcs
+    leaving node a are one bit row res[a], and pushing a path through
+    arc a -> b is res[a] &= ~bit(b); res[b] |= bit(a).  Paths are found
+    by frontier BFS from exit(s) to entry(t), stopping at cap.
+    """
+    res = [0] * (2 * n)
     for v in range(n):
-        add(2 * v, 2 * v + 1, n if v in (s, t) else 1)
-    for u in range(n):
-        for w in bits(g.adj[u]):
-            add(2 * u + 1, 2 * w, 1)
+        res[2 * v] = 1 << (2 * v + 1)
+        res[2 * v + 1] = sum(1 << (2 * w) for w in bits(adj[v]))
     src, sink = 2 * s + 1, 2 * t
+    sink_bit = 1 << sink
+    # entry(s) and exit(t) never lie on a path from src to sink
+    closed = (1 << src) | (1 << (2 * s)) | (1 << (2 * t + 1))
+    parent = [0] * (2 * n)
     flow = 0
-    while True:
-        parent = {src: None}
-        queue = [src]
-        while queue and sink not in parent:
-            a = queue.pop(0)
-            for b in nbrs[a]:
-                if b not in parent and cap[(a, b)] > 0:
+    while flow < cap:
+        seen = closed
+        frontier = [src]
+        while frontier and not seen & sink_bit:
+            nxt = []
+            for a in frontier:
+                new = res[a] & ~seen
+                seen |= new
+                while new:
+                    b = new & -new
+                    new ^= b
+                    b = b.bit_length() - 1
                     parent[b] = a
-                    queue.append(b)
-        if sink not in parent:
-            return flow
+                    nxt.append(b)
+            frontier = nxt
+        if not seen & sink_bit:
+            break
         b = sink
-        while parent[b] is not None:
+        while b != src:
             a = parent[b]
-            cap[(a, b)] -= 1
-            cap[(b, a)] += 1
+            res[a] &= ~(1 << b)
+            res[b] |= 1 << a
             b = a
         flow += 1
+    return flow
 
 
 def vertex_connectivity(g: Graph) -> int:
-    """Vertex connectivity; n-1 for complete graphs by convention."""
+    """Vertex connectivity; n-1 for complete graphs by convention.
+
+    Starts from the minimum degree and lowers it with capped local
+    connectivities from vertices 0, 1, ... while the index is below the
+    current value.  This is exact: a minimum separator S misses one of
+    the first |S|+1 vertices, and that vertex i has a nonadjacent vertex
+    in another component of G - S, so kappa(i, w) = |S|; the loop reaches
+    i = |S| unless the value has already dropped to |S|.
+    """
     n = g.n
     if n < 1:
         raise ValueError("connectivity needs at least one vertex")
-    if all(g.degree(v) == n - 1 for v in range(n)):
-        return n - 1
-    if len(connected_components(g)) > 1:
-        return 0
-    best = n - 1
-    for u in range(n):
-        for v in range(u + 1, n):
-            if not g.has_edge(u, v):
-                best = min(best, _max_internally_disjoint_paths(g, u, v))
+    adj = g.adj
+    full = (1 << n) - 1
+    best = min(row.bit_count() for row in adj)
+    i = 0
+    while i < best:
+        for w in bits(full & ~adj[i] & ~(1 << i)):
+            best = _local_connectivity(adj, n, i, w, best)
+        i += 1
     return best
 
 
 def is_k_connected(g: Graph, k: int) -> bool:
-    """k-connected means connectivity >= k together with order >= k+1."""
-    return g.n >= k + 1 and vertex_connectivity(g) >= k
+    """k-connected means connectivity >= k together with order >= k+1.
+
+    Decided without the exact connectivity (Even's k.n-pair test): a
+    separator of size < k misses one of vertices 0..k-1, which then has
+    a nonadjacent vertex in another component, so it is enough to check
+    kappa(i, w) >= k for i < k and every w nonadjacent to i.
+    """
+    n = g.n
+    if n < k + 1:
+        return False
+    if k <= 0:
+        return True
+    adj = g.adj
+    if min(row.bit_count() for row in adj) < k:
+        return False
+    full = (1 << n) - 1
+    for i in range(k):
+        for w in bits(full & ~adj[i] & ~(1 << i)):
+            if _local_connectivity(adj, n, i, w, k) < k:
+                return False
+    return True
 
 
 # -- Hamilton path / cycle search --------------------------------------

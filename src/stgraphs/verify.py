@@ -33,11 +33,10 @@ from .predicates import (
     independence_number,
     is_hamiltonian,
     is_hamiltonian_connected,
+    is_k_connected,
     is_petersen,
     is_st_graph,
     join_witness,
-    min_induced_edges,
-    vertex_connectivity,
 )
 
 ENUM_MAX = 10
@@ -251,20 +250,20 @@ def _wang_mou_exception(g: Graph, k: int):
 
 
 def _judge_main(g: Graph, k: int):
-    if g.n < k + 1 or not is_st_graph(g, k + 1, 2) or vertex_connectivity(g) < k:
+    if g.n < k + 1 or not is_st_graph(g, k + 1, 2) or not is_k_connected(g, k):
         return 0, None, False
     exception = _main_exception(g, k)
     return 1, exception, is_hamiltonian_connected(g) == (exception is not None)
 
 
 def _judge_chvatal_erdos(g: Graph, k: int):
-    if g.n < k + 1 or independence_number(g) > k - 1 or vertex_connectivity(g) < k:
+    if g.n < k + 1 or independence_number(g) > k - 1 or not is_k_connected(g, k):
         return 0, None, False
     return 1, None, not is_hamiltonian_connected(g)
 
 
 def _judge_wang_mou(g: Graph, k: int):
-    if g.n < max(3, k + 1) or not is_st_graph(g, k + 2, 2) or vertex_connectivity(g) < k:
+    if g.n < max(3, k + 1) or not is_st_graph(g, k + 2, 2) or not is_k_connected(g, k):
         return 0, None, False
     exception = _wang_mou_exception(g, k)
     return 1, exception, is_hamiltonian(g) == (exception is not None)
@@ -273,8 +272,9 @@ def _judge_wang_mou(g: Graph, k: int):
 def _judge_edge_bound(g: Graph, k: int):
     n, e = g.n, g.edge_count
     orders = range(2, n + 1)
-    # one hit per order s; integer comparison of e >= t*.n(n-1)/(s(s-1))
-    refuted = any(s * (s - 1) * e < min_induced_edges(g, s) * n * (n - 1) for s in orders)
+    # one hit per order s; the bound e >= t*.n(n-1)/(s(s-1)) fails iff
+    # s(s-1)e < t*.n(n-1), i.e. iff g is an [s, s(s-1)e // (n(n-1)) + 1]-graph
+    refuted = any(is_st_graph(g, s, s * (s - 1) * e // (n * (n - 1)) + 1) for s in orders)
     return len(orders), None, refuted
 
 

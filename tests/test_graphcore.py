@@ -290,6 +290,9 @@ def test_graph6_matches_networkx():
         "C",         # missing data characters
         "C~~",       # too many data characters
         "C!",        # character below the graph6 range
+        "C\x7f",     # character above the graph6 range
+        "   ",       # only whitespace
+        "D?A",       # nonzero padding bits (two padding bits)
         "A`",        # nonzero padding bits
         "~??",       # long form not supported
     ],
@@ -297,6 +300,37 @@ def test_graph6_matches_networkx():
 def test_graph6_malformed_inputs(text):
     with pytest.raises(Graph6Error):
         from_graph6(text)
+
+
+def reference_graph6_rows(text):
+    """Bit-by-bit graph6 reader written from the format description."""
+    vals = [ord(c) - 63 for c in text]
+    n = vals[0]
+    stream = [(x >> (5 - i)) & 1 for x in vals[1:] for i in range(6)]
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    if any(stream[len(pairs):]):
+        return None
+    rows = [0] * n
+    for (i, j), bit in zip(pairs, stream):
+        if bit:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return tuple(rows)
+
+
+def test_graph6_decode_matches_reference_reader():
+    rng = random.Random(47)
+    for _ in range(3000):
+        n = rng.randint(0, 14)
+        need = (n * (n - 1) // 2 + 5) // 6
+        text = chr(n + 63) + "".join(chr(rng.randint(63, 126)) for _ in range(need))
+        want = reference_graph6_rows(text)
+        if want is None:
+            with pytest.raises(Graph6Error, match="padding"):
+                from_graph6(text)
+        else:
+            g = from_graph6(text)
+            assert (g.n, g.adj) == (n, want)
 
 
 def test_graph6_output_order_limit():

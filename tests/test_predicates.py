@@ -6,18 +6,22 @@ import pytest
 
 from stgraphs.graphcore import (
     Graph,
+    component_masks,
     complete_graph,
     cycle_graph,
     empty_graph,
     induced_subgraph,
     is_connected,
     join,
+    mask_of,
     path_graph,
     petersen_graph,
+    subset_connected,
 )
 from stgraphs.pathengine import validate_path
 from stgraphs.predicates import (
     VACUOUS,
+    _local_connectivity,
     exception_witness,
     girth,
     hamilton_uv_path,
@@ -129,6 +133,69 @@ def test_k_connected_convention():
     assert is_k_connected(complete_graph(3), 2)
     assert not is_k_connected(complete_graph(3), 3)  # needs order >= k+1
     assert is_k_connected(complete_graph(4), 3)
+
+
+def brute_connectivity(g):
+    """Smallest |S| such that G - S is disconnected or a single vertex."""
+    full = g.full_mask()
+    for size in range(g.n):
+        for sep in combinations(range(g.n), size):
+            rest = full & ~mask_of(sep)
+            if rest.bit_count() == 1 or not subset_connected(g.adj, rest):
+                return size
+
+
+def brute_local_connectivity(g, s, t):
+    """Smallest vertex set avoiding s, t whose removal separates s from t."""
+    full = g.full_mask()
+    others = [v for v in range(g.n) if v not in (s, t)]
+    for size in range(len(others) + 1):
+        for sep in combinations(others, size):
+            comps = component_masks(g.adj, full & ~mask_of(sep))
+            if not any((c >> s) & 1 and (c >> t) & 1 for c in comps):
+                return size
+
+
+def relabeled(rng, g):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def connectivity_cases():
+    rng = random.Random(41)
+    for n in range(1, 8):
+        for g in enumerate_connected(n):
+            yield relabeled(rng, g)
+    for n in range(1, 6):
+        yield empty_graph(n)
+        yield complete_graph(n)
+    for n in range(2, 7):
+        yield Graph.from_edges(n, [e for e in combinations(range(n), 2) if e != (0, n - 1)])
+    yield Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+
+
+def test_connectivity_matches_brute_force_oracle():
+    for g in connectivity_cases():
+        kappa = brute_connectivity(g)
+        assert vertex_connectivity(g) == kappa, g.adj
+        for k in range(g.n + 1):
+            assert is_k_connected(g, k) == (g.n >= k + 1 and kappa >= k), (g.adj, k)
+
+
+def test_local_connectivity_is_capped_menger_number():
+    rng = random.Random(43)
+    for n in range(2, 7):
+        for g in enumerate_connected(n):
+            g = relabeled(rng, g)
+            for s, t in combinations(range(n), 2):
+                if g.has_edge(s, t):
+                    continue
+                full = _local_connectivity(g.adj, n, s, t, n)
+                assert full == brute_local_connectivity(g, s, t)
+                assert _local_connectivity(g.adj, n, t, s, n) == full
+                for cap in range(n + 1):
+                    assert _local_connectivity(g.adj, n, s, t, cap) == min(cap, full)
 
 
 def test_connectivity_at_most_min_degree():

@@ -29,6 +29,7 @@ from stgraphs.predicates import (
 from stgraphs.verify import (
     TheoremReport,
     _canonical_augmentation,
+    _judge_edge_bound,
     _connected_level,
     _worker_count,
     brute_force_connected,
@@ -256,6 +257,42 @@ def test_edge_bound_examples():
     pet = petersen_graph()
     assert min_induced_edges(pet, 5) == 2
     assert 5 * 4 * pet.edge_count >= 2 * 10 * 9
+
+
+def all_labeled_graphs(n):
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    for code in range(1 << len(pairs)):
+        yield Graph.from_edges(n, [p for b, p in enumerate(pairs) if (code >> b) & 1])
+
+
+def test_edge_bound_judge_matches_exact_minimum_formula():
+    """The threshold judge refutes exactly when some order s has
+    s(s-1)e < t*.n(n-1) with t* the exact induced minimum."""
+    graphs = [g for n in range(1, 8) for g in enumerate_connected(n)]
+    graphs += [g for n in range(1, 6) for g in all_labeled_graphs(n)]
+    for g in graphs:
+        n, e = g.n, g.edge_count
+        orders = range(2, n + 1)
+        want = any(s * (s - 1) * e < min_induced_edges(g, s) * n * (n - 1) for s in orders)
+        assert _judge_edge_bound(g, None) == (len(orders), None, want), g.adj
+
+
+# -- hypothesis funnel ------------------------------------------------------------------
+
+
+def test_hypothesis_hits_pinned_at_nmax_7():
+    """Hypothesis-class sizes over all connected graphs of order <= 7, so a
+    threshold test that admits too few graphs cannot go unnoticed."""
+    hits = {
+        ("main", 2): 15, ("main", 3): 137,
+        ("ce", 2): 5, ("ce", 3): 77, ("ce", 4): 30,
+        ("wangmou", 1): 16, ("wangmou", 2): 285, ("wangmou", 3): 157,
+    }
+    scans = {"main": verify_main_theorem, "ce": verify_chvatal_erdos, "wangmou": verify_wang_mou}
+    for (name, k), want in hits.items():
+        report = scans[name](7, k)
+        assert (report.hypothesis_hits, report.verified) == (want, True), (name, k)
+    assert verify_edge_bound(7).hypothesis_hits == 5785
 
 
 # -- report plumbing ------------------------------------------------------------------
