@@ -8,12 +8,19 @@ claimed complete, so the engine either returns a Hamilton path, or
 stalls with a best-effort certificate (a sparse vertex set or a
 join-partition witness) and leaves totality to the exact backtracking
 fallback.
+
+Every matcher pairs two anchors of the outside vertex, so the engine
+only offers views with at least two; the reversed view of a path is the
+mirror of the forward one.  Matchers and path checks test bits of the
+adjacency rows ``g.adj`` directly.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from operator import sub
+from typing import Callable, NamedTuple, Optional
 
 from .graphcore import Graph, bits, component_masks, mask_of
 from .predicates import JoinWitness, exception_witness, hamilton_uv_path
@@ -24,25 +31,32 @@ class RuleTranscriptionError(RuntimeError):
 
 
 def validate_path(g: Graph, seq, u: int, v: int) -> bool:
-    """True iff seq is a (u,v)-path in g: right endpoints, distinct
-    vertices, consecutive pairs adjacent."""
+    """True iff seq is a (u,v)-path in g: right endpoints, vertices in
+    range, then distinct vertices (a seen mask) with consecutive pairs
+    adjacent (row bits) in one pass.  Never raises on integer input."""
     seq = tuple(seq)
-    if len(seq) < 1 or seq[0] != u or seq[-1] != v:
+    if not seq or seq[0] != u or seq[-1] != v:
         return False
-    if len(set(seq)) != len(seq):
+    if min(seq) < 0 or max(seq) >= g.n:
         return False
-    if any(not 0 <= w < g.n for w in seq):
-        return False
-    return all(g.has_edge(seq[i], seq[i + 1]) for i in range(len(seq) - 1))
+    adj = g.adj
+    seen, row = 0, -1  # row -1 has every bit, so the first vertex passes
+    for w in seq:
+        bit = 1 << w
+        if seen & bit or not row & bit:
+            return False
+        seen |= bit
+        row = adj[w]
+    return True
 
 
-@dataclass(frozen=True)
-class AnchoredPath:
+class AnchoredPath(NamedTuple):
     """A path together with one outside vertex and its anchor indices.
 
     ``anchors`` lists exactly the path positions adjacent to ``outside``,
     ascending.  ``rho`` is the largest number of path vertices strictly
-    between consecutive anchors (0 when fewer than two anchors).
+    between consecutive anchors (0 when fewer than two anchors).  A named
+    tuple, since the engine builds one per view.
     """
 
     path: tuple[int, ...]
@@ -50,48 +64,47 @@ class AnchoredPath:
     anchors: tuple[int, ...]
     rho: int
 
-    @property
-    def last(self) -> int:
-        return len(self.path) - 1
-
 
 def anchored_path(g: Graph, path, outside: int) -> AnchoredPath:
     path = tuple(path)
-    anchors = tuple(i for i, w in enumerate(path) if g.has_edge(w, outside))
+    row = g.adj[outside]
+    anchors = tuple([i for i, w in enumerate(path) if (row >> w) & 1])
     r = 0
     if len(anchors) >= 2:
-        r = max(b - a - 1 for a, b in zip(anchors, anchors[1:]))
+        r = max(map(sub, anchors[1:], anchors)) - 1
     return AnchoredPath(path, outside, anchors, r)
 
 
 def anchor(g: Graph, path) -> Optional[AnchoredPath]:
     """Anchored view when exactly one vertex lies outside the path."""
-    outside = [w for w in range(g.n) if w not in set(path)]
-    if len(outside) != 1:
+    rest = g.full_mask() & ~mask_of(path)
+    if rest.bit_count() != 1:
         return None
-    return anchored_path(g, path, outside[0])
+    return anchored_path(g, path, rest.bit_length() - 1)
 
 
 # -- rewiring rules ------------------------------------------------------
 #
 # Each matcher scans an anchored path for its pattern and returns the
 # first rewired vertex sequence, or None.  Index conventions: p is the
-# path tuple, L its last index, y the outside vertex, A the anchor index
-# list.  rev(x:y) below abbreviates the reversed slice p[x:y].
+# path tuple, last its last index, y the outside vertex, A the anchor
+# index list, adj the adjacency rows (bit w of adj[x] is the edge xw).
 
 
 def _rule_e1(g: Graph, ap: AnchoredPath):
     """Insert y between consecutive neighbors, or rotate a segment when
     the successors of two anchors are adjacent; both lengthen the path."""
     p, y, A = ap.path, ap.outside, ap.anchors
-    last = ap.last
+    adj = g.adj
+    last = len(p) - 1
     aset = set(A)
     for i in A:
         if i + 1 in aset:
             return p[: i + 1] + (y,) + p[i + 1 :]
-    for ai, a in enumerate(A):
+    for ai, a in enumerate(A[:-1]):
+        row = adj[p[a + 1]]
         for b in A[ai + 1 :]:
-            if b < last and g.has_edge(p[a + 1], p[b + 1]):
+            if b < last and (row >> p[b + 1]) & 1:
                 return p[: a + 1] + (y,) + p[a + 1 : b + 1][::-1] + p[b + 1 :]
     return None
 
@@ -100,17 +113,18 @@ def _rule_e2(g: Graph, ap: AnchoredPath):
     """With a second outside vertex y2 hooked to the successors of two
     anchors of y, absorb both outside vertices."""
     p, y, A = ap.path, ap.outside, ap.anchors
-    last = ap.last
-    on_path = set(p)
-    others = [w for w in range(g.n) if w not in on_path and w != y]
-    for y2 in others:
+    adj = g.adj
+    last = len(p) - 1
+    others = g.full_mask() & ~mask_of(p) & ~(1 << y)
+    for y2 in bits(others):
+        row = adj[y2]
         for ai, a in enumerate(A):
             if a + 1 > last:
                 continue
-            if not g.has_edge(y2, p[a + 1]):
+            if not (row >> p[a + 1]) & 1:
                 continue
             for b in A[ai + 1 :]:
-                if b < last and g.has_edge(y2, p[b + 1]):
+                if b < last and (row >> p[b + 1]) & 1:
                     return (
                         p[: a + 1]
                         + (y,)
@@ -125,13 +139,15 @@ def _rule_h1(g: Graph, ap: AnchoredPath):
     """Crossing completion between two anchors a < b: a chord pair into
     the (a,b) segment reroutes everything through y."""
     p, y, A = ap.path, ap.outside, ap.anchors
-    last = ap.last
+    adj = g.adj
+    last = len(p) - 1
     for ai, a in enumerate(A):
         for b in A[ai + 1 :]:
             if b >= last:
                 continue
+            ra, rb = adj[p[a + 1]], adj[p[b + 1]]
             for t in range(a + 1, b):
-                if g.has_edge(p[t + 1], p[a + 1]) and g.has_edge(p[t], p[b + 1]):
+                if (ra >> p[t + 1]) & 1 and (rb >> p[t]) & 1:
                     return (
                         p[: a + 1]
                         + (y,)
@@ -146,15 +162,18 @@ def _rule_h2(g: Graph, ap: AnchoredPath):
     """Left-hook completion: a chord from before anchor a into the (a,b)
     segment whose successor reaches past b."""
     p, y, A = ap.path, ap.outside, ap.anchors
-    last = ap.last
+    adj = g.adj
+    last = len(p) - 1
     for ai, a in enumerate(A):
         if a < 1:
             continue
+        ra = adj[p[a - 1]]
         for b in A[ai + 1 :]:
             if b >= last:
                 continue
+            rb = adj[p[b + 1]]
             for s in range(a + 1, b + 1):
-                if g.has_edge(p[s - 1], p[a - 1]) and g.has_edge(p[s], p[b + 1]):
+                if (ra >> p[s - 1]) & 1 and (rb >> p[s]) & 1:
                     return (
                         p[:a]
                         + p[a:s][::-1]
@@ -169,13 +188,16 @@ def _rule_h3(g: Graph, ap: AnchoredPath):
     """Right-hook completion: a chord from before anchor a into the tail
     after anchor b whose successor reaches back before b."""
     p, y, A = ap.path, ap.outside, ap.anchors
-    last = ap.last
+    adj = g.adj
+    last = len(p) - 1
     for ai, a in enumerate(A):
         if a < 1:
             continue
+        ra = adj[p[a - 1]]
         for b in A[ai + 1 :]:
+            rb = adj[p[b - 1]]
             for x in range(b, last):
-                if g.has_edge(p[x], p[a - 1]) and g.has_edge(p[x + 1], p[b - 1]):
+                if (ra >> p[x]) & 1 and (rb >> p[x + 1]) & 1:
                     return (
                         p[:a]
                         + p[b : x + 1][::-1]
@@ -190,16 +212,18 @@ def _rule_e3(g: Graph, ap: AnchoredPath):
     """Chord-detour extensions around an anchor a whose predecessor has
     two consecutive path neighbors w, w+1; eight routing variants."""
     p, y, A = ap.path, ap.outside, ap.anchors
-    last = ap.last
+    adj = g.adj
+    last = len(p) - 1
     aset = set(A)
     for a in A:
         if a < 2:
             continue
         pa1 = p[a - 1]
+        row = adj[pa1]
         ws = [
             w
             for w in list(range(0, a - 2)) + list(range(a, last))
-            if g.has_edge(p[w], pa1) and g.has_edge(p[w + 1], pa1)
+            if (row >> p[w]) & 1 and (row >> p[w + 1]) & 1
         ]
         if not ws:
             continue
@@ -209,8 +233,9 @@ def _rule_e3(g: Graph, ap: AnchoredPath):
                     return p[: a - 1] + (y,) + p[a : w + 1] + (pa1,) + p[w + 1 :]
                 if w <= a - 3:
                     return p[: w + 1] + (pa1,) + p[w + 1 : a - 1] + (y,) + p[a:]
+        ra2 = adj[p[a - 2]]
         for b in A:
-            if b == a or b < 1 or not g.has_edge(p[a - 2], p[b - 1]):
+            if b == a or b < 1 or not (ra2 >> p[b - 1]) & 1:
                 continue
             for w in ws:
                 if w >= a:
@@ -276,17 +301,20 @@ def _rule_h4(g: Graph, ap: AnchoredPath):
     """Completions available once two consecutive anchors sit exactly one
     apart (a single gap vertex)."""
     p, y, A = ap.path, ap.outside, ap.anchors
-    last = ap.last
+    adj = g.adj
+    last = len(p) - 1
     for j in range(len(A) - 1):
         m, m2 = A[j], A[j + 1]
         if m2 != m + 2:
             continue
         gv = m + 1
+        rg = adj[p[gv]]
         for x in range(m2 + 1, last):
-            if not g.has_edge(p[x], p[gv]):
+            if not (rg >> p[x]) & 1:
                 continue
+            rx = adj[p[x + 1]]
             for t in A:
-                if t + 1 > last or not g.has_edge(p[x + 1], p[t + 1]):
+                if t + 1 > last or not (rx >> p[t + 1]) & 1:
                     continue
                 if m2 <= t <= x - 2:
                     return (
@@ -306,10 +334,11 @@ def _rule_h4(g: Graph, ap: AnchoredPath):
                     )
         if j + 2 < len(A):
             m3 = A[j + 2]
+            rm = adj[p[m3 - 1]]
             for t in A:
                 if t + 1 > last:
                     continue
-                if not (g.has_edge(p[t], p[gv]) and g.has_edge(p[t + 1], p[m3 - 1])):
+                if not ((rg >> p[t]) & 1 and (rm >> p[t + 1]) & 1):
                     continue
                 if t < m:
                     return (
@@ -335,16 +364,18 @@ def _rule_h5(g: Graph, ap: AnchoredPath):
     a consecutive anchor pair, the two small-order endgames, and the six
     three-anchor table rewirings."""
     p, y, A = ap.path, ap.outside, ap.anchors
-    last = ap.last
+    adj = g.adj
+    last = len(p) - 1
     aset = set(A)
     # hook moves on a consecutive anchor pair (q, q1)
     for j in range(len(A) - 1):
         q, q1 = A[j], A[j + 1]
-        if q < 1 or not g.has_edge(p[q - 1], p[q1]):
+        if q < 1 or not (adj[p[q - 1]] >> p[q1]) & 1:
             continue
+        row = adj[p[q1 - 1]]
         for am in A:
             w = am + 1
-            if w > last or not g.has_edge(p[q1 - 1], p[w]):
+            if w > last or not (row >> p[w]) & 1:
                 continue
             if w <= q - 1:
                 return p[:w] + (y,) + p[q:q1] + p[w:q] + p[q1:]
@@ -352,28 +383,28 @@ def _rule_h5(g: Graph, ap: AnchoredPath):
                 return p[:q] + p[q1:w] + (y,) + p[q:q1] + p[w:]
     # endgame with four or more anchors (gap-two lattice)
     if last >= 6 and 3 in aset and 6 in aset:
-        if g.has_edge(p[0], p[4]) and g.has_edge(p[5], p[1]):
+        if (adj[p[0]] >> p[4]) & 1 and (adj[p[5]] >> p[1]) & 1:
             return (p[0], p[4], p[5], p[1], p[2], p[3], y) + p[6:]
     # three-anchor endgame on eight vertices
     if last == 6 and 3 in aset and 6 in aset:
-        if g.has_edge(p[0], p[2]) and g.has_edge(p[1], p[5]):
+        if (adj[p[0]] >> p[2]) & 1 and (adj[p[1]] >> p[5]) & 1:
             return (p[0], p[2], p[1], p[5], p[4], p[3], y, p[6])
     # table rewirings: consecutive pair (q, q1) plus anchors a and pp
     for j in range(len(A) - 1):
         q, q1 = A[j], A[j + 1]
         if q1 < q + 3:
             continue
+        r2, r3 = adj[p[q1 - 2]], adj[p[q1 - 3]]
         for pp in A:
             if pp in (q, q1) or pp < 2:
                 continue
-            c2 = g.has_edge(p[q1 - 2], p[pp - 1])
-            c3 = q >= 1 and g.has_edge(p[q - 1], p[pp - 2])
-            if not c2:
+            if not (r2 >> p[pp - 1]) & 1:
                 continue
+            c3 = q >= 1 and (adj[p[q - 1]] >> p[pp - 2]) & 1
             for a in A:
                 if a in (q, q1, pp) or a < 1:
                     continue
-                if not g.has_edge(p[q1 - 3], p[a - 1]):
+                if not (r3 >> p[a - 1]) & 1:
                     continue
                 if pp < q:
                     if a < pp and q1 - 3 >= pp:
@@ -437,16 +468,18 @@ def _rule_r1(g: Graph, ap: AnchoredPath):
     """Equal-length rotations that swap the predecessor of an anchor for
     y; used only when they raise rho."""
     p, y, A = ap.path, ap.outside, ap.anchors
+    adj = g.adj
     for j, q in enumerate(A):
         # segment-exchange rotations on a consecutive pair (q, q1) first:
         # their gating chord also matches the plain after-hook rotation
         if j + 1 < len(A):
             q1 = A[j + 1]
-            if q1 >= q + 2 and q >= 2 and g.has_edge(p[q - 2], p[q1 - 1]):
+            if q1 >= q + 2 and q >= 2 and (adj[p[q - 2]] >> p[q1 - 1]) & 1:
+                row = adj[p[q1 - 2]]
                 for pp in A:
                     if pp in (q, q1) or pp < 1:
                         continue
-                    if not g.has_edge(p[q1 - 2], p[pp - 1]):
+                    if not (row >> p[pp - 1]) & 1:
                         continue
                     if pp < q and q >= pp + 2:
                         return (
@@ -466,12 +499,13 @@ def _rule_r1(g: Graph, ap: AnchoredPath):
                         )
         # rotation hooked before q
         for a in A[:j]:
-            if a >= 1 and q >= a + 2 and g.has_edge(p[q - 2], p[a - 1]):
+            if a >= 1 and q >= a + 2 and (adj[p[q - 2]] >> p[a - 1]) & 1:
                 return p[:a] + p[a : q - 1][::-1] + (y,) + p[q:]
         # rotation hooked after q
         if q >= 2:
+            row = adj[p[q - 2]]
             for b in A[j + 1 :]:
-                if g.has_edge(p[q - 2], p[b - 1]):
+                if (row >> p[b - 1]) & 1:
                     return p[: q - 1] + p[q:b][::-1] + (y,) + p[b:]
     return None
 
@@ -558,76 +592,84 @@ class EngineResult:
 
 
 def _seed_path(g: Graph, u: int, v: int):
-    """Greedy highest-degree extension from u, closing into v; falls back
-    to a breadth-first (u,v)-path.  None when v is unreachable."""
+    """Greedy highest-degree extension from u (lowest id on ties),
+    closing into v; falls back to a breadth-first (u,v)-path.  None when
+    v is unreachable."""
     adj = g.adj
+    by_degree = [0] * g.n  # by_degree[d]: mask of the vertices of degree d
+    for w, row in enumerate(adj):
+        by_degree[row.bit_count()] |= 1 << w
+    levels = [m for m in reversed(by_degree) if m]
+    free = g.full_mask() & ~(1 << u) & ~(1 << v)
     seq = [u]
-    used = {u}
     cur = u
     while True:
-        cands = [w for w in bits(adj[cur]) if w not in used and w != v]
+        cands = adj[cur] & free
         if not cands:
             break
-        cur = max(cands, key=lambda w: (adj[w].bit_count(), -w))
+        for m in levels:
+            m &= cands
+            if m:
+                break
+        cur = (m & -m).bit_length() - 1
         seq.append(cur)
-        used.add(cur)
-    if g.has_edge(cur, v):
+        free ^= 1 << cur
+    if (adj[cur] >> v) & 1:
         return tuple(seq) + (v,)
     parent = {u: None}
-    queue = [u]
+    seen = 1 << u
+    queue = deque([u])
     while queue:
-        x = queue.pop(0)
+        x = queue.popleft()
         if x == v:
             out = []
             while x is not None:
                 out.append(x)
                 x = parent[x]
             return tuple(reversed(out))
-        for w in bits(adj[x]):
-            if w not in parent:
-                parent[w] = x
-                queue.append(w)
+        fresh = adj[x] & ~seen
+        seen |= fresh
+        for w in bits(fresh):
+            parent[w] = x
+            queue.append(w)
     return None
 
 
 def _find_move(g: Graph, path: tuple[int, ...]):
     """First applicable move in catalog order, tried on the path and its
     reverse for every outside vertex.  Returns (rule_id, new_path,
-    rho_before, rho_after) or None."""
-    on_path = set(path)
-    outside = [w for w in range(g.n) if w not in on_path]
-    views = []
-    for base in (path, path[::-1]):
-        for y in outside:
-            ap = anchored_path(g, base, y)
-            if ap.anchors:
-                views.append((base is not path, ap))
-    single = len(outside) == 1
+    rho_before, rho_after) or None.
+
+    Views with fewer than two anchors are skipped: no rule matches them.
+    The reversed view mirrors the forward one (anchor i becomes last - i,
+    rho is unchanged), and views are tried forward first, outside
+    vertices ascending."""
+    last = len(path) - 1
+    rest = g.full_mask() & ~mask_of(path)
+    rev = path[::-1]
+    forward, backward = [], []
+    for y in bits(rest):
+        ap = anchored_path(g, path, y)
+        if len(ap.anchors) < 2:
+            continue
+        mirrored = tuple([last - i for i in reversed(ap.anchors)])
+        forward.append((False, ap))
+        backward.append((True, AnchoredPath(rev, y, mirrored, ap.rho)))
+    views = forward + backward
+    single = rest.bit_count() == 1
     for rule in RULE_CATALOG:
+        rotation = rule.kind == "raises-rho"
+        if rotation and not single:
+            continue
         for reversed_base, ap in views:
-            if rule.kind == "raises-rho":
-                if not single or len(ap.anchors) < 2:
-                    continue
-                seq = apply_rule(g, ap, rule)
-                if seq is None:
-                    continue
-                new_path = seq[::-1] if reversed_base else seq
-                new_ap = anchor(g, new_path)
-                new_rho = new_ap.rho if new_ap else 0
-                if new_rho > ap.rho:
-                    return rule.id, new_path, ap.rho, new_rho
-            else:
-                seq = apply_rule(g, ap, rule)
-                if seq is None:
-                    continue
-                new_path = seq[::-1] if reversed_base else seq
-                new_ap = anchor(g, new_path)
-                return (
-                    rule.id,
-                    new_path,
-                    ap.rho,
-                    new_ap.rho if new_ap else 0,
-                )
+            seq = apply_rule(g, ap, rule)
+            if seq is None:
+                continue
+            new_path = seq[::-1] if reversed_base else seq
+            new_ap = anchor(g, new_path)
+            new_rho = new_ap.rho if new_ap else 0
+            if not rotation or new_rho > ap.rho:
+                return rule.id, new_path, ap.rho, new_rho
     return None
 
 

@@ -158,6 +158,31 @@ def test_find_path_failure_certificate(capsys):
     assert "no hamilton path exists" in out
 
 
+# full stdout of find-path, pinned: a speed-up must leave it byte-identical
+FIND_PATH_TRANSCRIPTS = [
+    (
+        ("find-path", "FjKK_", "--u", "0", "--v", "5", "--trace"),
+        0,
+        "move: H1 len 6->7 rho 1->0\n"
+        "hamilton-path: 0 6 3 1 2 4 5\n",
+    ),
+    (
+        ("find-path", "Cl", "--u", "0", "--v", "2", "--k", "2"),
+        1,
+        "stalled: longest path found 0 1 2\n"
+        "certificate: join-witness independent=[0, 2] rest=[1, 3]\n"
+        "fallback: no hamilton path exists\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, want_code, want_out", FIND_PATH_TRANSCRIPTS)
+def test_find_path_transcripts(capsys, argv, want_code, want_out):
+    code, out = run_cli(capsys, *argv)
+    assert code == want_code
+    assert out == want_out
+
+
 def test_min_size_exit_codes(capsys):
     code, out = run_cli(capsys, "min-size", "--n", "5", "--s", "3", "--t", "1")
     assert code == 0

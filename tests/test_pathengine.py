@@ -1,12 +1,14 @@
+import hashlib
 import random
 from itertools import combinations
 
 import pytest
 
-from stgraphs.graphcore import Graph, complete_graph, cycle_graph, petersen_graph
+from stgraphs.graphcore import Graph, complete_graph, cycle_graph, petersen_graph, to_graph6
 from stgraphs.pathengine import (
     RULE_CATALOG,
     RULES_BY_ID,
+    _seed_path,
     anchor,
     anchored_path,
     apply_rule,
@@ -30,12 +32,31 @@ def path_plus(n, chords, y_edges):
 
 
 def test_validate_path_examples():
+    # every rejection returns False without raising, for list and tuple input
     k4 = complete_graph(4)
-    assert validate_path(k4, [0, 2, 1, 3], 0, 3)
     c4 = cycle_graph(4)
-    assert not validate_path(c4, [0, 2], 0, 2)
-    assert not validate_path(k4, [0, 1, 1, 3], 0, 3)
-    assert not validate_path(k4, [0, 1, 2], 0, 3)
+    rejected = [
+        (c4, [0, 2], 0, 2),  # non-edge
+        (c4, [0, 2, 3], 0, 3),  # non-edge inside
+        (k4, [0, 1, 1, 3], 0, 3),  # repeated vertex
+        (k4, [0, 1, 0, 3], 0, 3),  # repeated vertex, not adjacent copies
+        (k4, [0, 0], 0, 0),  # repeated endpoint
+        (k4, [0, 1, 2], 0, 3),  # wrong endpoint
+        (k4, [], 0, 3),  # empty sequence
+        (k4, [0, -1, 3], 0, 3),  # negative vertex id
+        (k4, [-1, 0], -1, 0),  # negative endpoint
+        (k4, [0, 4, 3], 0, 3),  # vertex id >= n
+        (k4, [0, 4], 0, 4),  # endpoint >= n
+    ]
+    for g, seq, u, v in rejected:
+        assert validate_path(g, seq, u, v) is False, seq
+        assert validate_path(g, tuple(seq), u, v) is False, seq
+    accepted = [(k4, [0, 2, 1, 3]), (c4, [0, 1, 2, 3]), (c4, [0, 3, 2, 1]), (c4, [3])]
+    for g, seq in accepted:
+        u, v = seq[0], seq[-1]
+        assert validate_path(g, seq, u, v) is True
+        assert validate_path(g, tuple(seq), u, v) is True
+        assert validate_path(g, iter(seq), u, v) is True
 
 
 def test_anchor_examples():
@@ -350,3 +371,122 @@ def test_stalled_states_satisfy_longest_path_invariants():
                         for group in (succ, pred):
                             for a, b in combinations(group, 2):
                                 assert not g.has_edge(a, b)
+
+
+# -- pinned engine behaviour --------------------------------------------------
+
+
+# pinned engine output: a speed-up must leave both unchanged
+ENGINE_GOLDEN_SHA256 = "c0d82467d293603971fca2e5ffc419efb3dcda9c5e9acf886ab29a5b58aca2fe"
+ENGINE_GOLDEN_STALLS = {2: (3, 0), 3: (83, 68), 4: (0, 0)}
+
+
+def _engine_sweep():
+    """Digest of improve() on every pair of every k-connected
+    [k+1,2]-graph with n <= 7, k = 2, 3, 4, and per-k stall counts
+    (stalls, stalls that do have a Hamilton path)."""
+    h = hashlib.sha256()
+    stalls = {}
+    for k in (2, 3, 4):
+        total = with_path = 0
+        for n in range(k + 1, 8):
+            for g in enumerate_connected(n):
+                if not is_st_graph(g, k + 1, 2) or not is_k_connected(g, k):
+                    continue
+                g6 = to_graph6(g)
+                for u in range(n):
+                    for v in range(u + 1, n):
+                        res = improve(g, u, v, k=k)
+                        moves = ";".join(m.format() for m in res.trace)
+                        cert = res.certificate.format() if res.certificate else "-"
+                        line = f"{g6} {k} {u} {v} {res.outcome} {res.path} {moves} {cert}\n"
+                        h.update(line.encode("ascii"))
+                        if res.outcome == "stalled":
+                            total += 1
+                            with_path += hamilton_uv_path(g, u, v) is not None
+        stalls[k] = (total, with_path)
+    return h.hexdigest(), stalls
+
+
+def test_engine_golden_digest():
+    digest, stalls = _engine_sweep()
+    assert stalls == ENGINE_GOLDEN_STALLS
+    assert digest == ENGINE_GOLDEN_SHA256
+
+
+def _walk_paths(g, rng):
+    """Every prefix of length >= 2 of one random walk from each vertex."""
+    for start in range(g.n):
+        path, used = [start], {start}
+        while True:
+            nxt = [w for w in g.neighbors(path[-1]) if w not in used]
+            if not nxt:
+                break
+            w = rng.choice(nxt)
+            path.append(w)
+            used.add(w)
+            yield tuple(path)
+
+
+def test_rules_never_match_fewer_than_two_anchors():
+    # every matcher pairs two anchors, so the engine may skip such views
+    rng = random.Random(83)
+    one_anchor_with_others = 0  # the views where E2 sees a second outside vertex
+    for n in range(2, 7):
+        for g in enumerate_connected(n):
+            for path in _walk_paths(g, rng):
+                for y in range(n):
+                    if y in path:
+                        continue
+                    for base in (path, path[::-1]):
+                        ap = anchored_path(g, base, y)
+                        if len(ap.anchors) >= 2:
+                            continue
+                        if ap.anchors and len(path) <= n - 2:
+                            one_anchor_with_others += 1
+                        for rule in RULE_CATALOG:
+                            assert rule.matcher(g, ap) is None, (rule.id, g.adj, base, y)
+    assert one_anchor_with_others > 1000
+
+
+def _reference_seed_path(g, u, v):
+    """_seed_path as its docstring states it: extend from u to the unused
+    neighbor (other than v) of highest degree, lowest id on ties, until
+    stuck; close into v if adjacent, else a breadth-first (u,v)-path."""
+    seq, cur = [u], u
+    while True:
+        cands = [w for w in g.neighbors(cur) if w not in seq and w != v]
+        if not cands:
+            break
+        top = max(g.degree(w) for w in cands)
+        cur = min(w for w in cands if g.degree(w) == top)
+        seq.append(cur)
+    if g.has_edge(cur, v):
+        return tuple(seq) + (v,)
+    parent, layer = {u: u}, [u]
+    while layer:
+        nxt = []
+        for x in layer:
+            for w in g.neighbors(x):
+                if w not in parent:
+                    parent[w] = x
+                    nxt.append(w)
+        layer = nxt
+    if v not in parent:
+        return None
+    out = [v]
+    while out[-1] != u:
+        out.append(parent[out[-1]])
+    return tuple(reversed(out))
+
+
+def test_seed_path_matches_reference():
+    for n in range(2, 7):
+        for g in enumerate_connected(n):
+            for u in range(n):
+                for v in range(n):
+                    if u != v:
+                        assert _seed_path(g, u, v) == _reference_seed_path(g, u, v)
+    g = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
+    assert _seed_path(g, 0, 4) is None and _reference_seed_path(g, 0, 4) is None
+    assert _seed_path(g, 2, 0) == (2, 1, 0)
