@@ -4,8 +4,8 @@ Vertices are 0..n-1 and every neighborhood is a single machine-word bit
 mask, so induced subgraphs, neighborhood queries and subset edge counts
 are a handful of integer operations.  The module also provides the named
 graph families used throughout the test-suites, a canonical labeling
-(degree refinement with backtracking), and a graph6 codec for interop
-with standard generators.
+(degree refinement with backtracking and automorphism pruning), and a
+graph6 codec for interop with standard generators.
 """
 
 from __future__ import annotations
@@ -227,7 +227,7 @@ def connected_components(g: Graph) -> tuple[tuple[int, ...], ...]:
 
 
 def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(connected_components(g)) == 1
+    return g.n <= 1 or subset_connected(g.adj, g.full_mask())
 
 
 def subset_connected(adj, sub_mask: int) -> bool:
@@ -251,6 +251,18 @@ def subset_connected(adj, sub_mask: int) -> bool:
 # first non-singleton cell.  The emitted label is the lexicographically
 # smallest column-major upper-triangle bit string over all orderings the
 # search reaches, which is invariant under relabeling.
+#
+# Automorphism pruning.  Two leaves with equal codes give the same
+# relabeled graph, so best_order[i] -> order[i] is an automorphism; the
+# search records one at every leaf (discrete or uniform-module) that ties
+# the best code.  At a branching node, an automorphism g mapping every
+# cell of the node's refined partition onto itself maps the subtree of
+# child v onto the subtree of child g(v) with the same codes: _refine is
+# relabeling-invariant and its cells depend only on cell sets.  Once v is
+# tried, every target vertex in the orbit of the tried ones under such
+# automorphisms is skipped.  The minimum code is unchanged, hence so are
+# canonical_label and canonical_form (its rows follow from the code), and
+# marked_label is pruned through its seed cells.
 
 
 def _refine(adj, cells):
@@ -306,8 +318,25 @@ def _column_bits(adj, order, v) -> int:
     return out
 
 
+def _orbit_closure(mask: int, gens) -> int:
+    """Smallest superset of mask closed under the permutations in gens."""
+    frontier = mask
+    while frontier:
+        image = 0
+        for g in gens:
+            for u in bits(frontier):
+                image |= 1 << g[u]
+        frontier = image & ~mask
+        mask |= frontier
+    return mask
+
+
 def _canonical_search(n: int, adj, seed_cells=None):
-    """Minimum column-major adjacency code and the vertex order achieving it."""
+    """Minimum column-major adjacency code and a vertex order achieving it.
+
+    Branches on the first non-singleton cell of each refined partition and
+    skips a target vertex lying in the orbit of the tried ones under the
+    recorded automorphisms that fix every cell of that partition."""
     if n == 0:
         return 0, ()
     if seed_cells is None:
@@ -320,9 +349,19 @@ def _canonical_search(n: int, adj, seed_cells=None):
     width = n * (n - 1) // 2
     best_code = None
     best_order: tuple[int, ...] = ()
+    autos: list[list[int]] = []
+
+    def leaf(code, order):
+        nonlocal best_code, best_order
+        if best_code is None or code < best_code:
+            best_code, best_order = code, tuple(order)
+        elif code == best_code:
+            g = [0] * n
+            for a, b in zip(best_order, order):
+                g[a] = b
+            autos.append(g)
 
     def dfs(cells):
-        nonlocal best_code, best_order
         cells = _refine(adj, cells)
         order: list[int] = []
         code = 0
@@ -340,8 +379,7 @@ def _canonical_search(n: int, adj, seed_cells=None):
             if code > (best_code >> (width - t)):
                 return
         if m == n:
-            if best_code is None or code < best_code:
-                best_code, best_order = code, tuple(order)
+            leaf(code, order)
             return
         rest = cells[k:]
         masks = [mask_of(c) for c in cells]
@@ -350,14 +388,33 @@ def _canonical_search(n: int, adj, seed_cells=None):
                 for v in cell:
                     code = (code << len(order)) | _column_bits(adj, order, v)
                     order.append(v)
-            if best_code is None or code < best_code:
-                best_code, best_order = code, tuple(order)
+            leaf(code, order)
             return
         target = rest[0]
         head = cells[:k]
         tail = rest[1:]
+        cell_of = None
+        gens: list[list[int]] = []
+        checked = 0
+        tried = 0
         for v in target:
+            if tried:
+                if checked < len(autos):
+                    if cell_of is None:
+                        cell_of = [0] * n
+                        for i, cell in enumerate(cells):
+                            for u in cell:
+                                cell_of[u] = i
+                    for g in autos[checked:]:
+                        if [cell_of[x] for x in g] == cell_of:
+                            gens.append(g)
+                    checked = len(autos)
+                if gens:
+                    tried = _orbit_closure(tried, gens)
+                    if (tried >> v) & 1:
+                        continue
             dfs(head + [[v], [w for w in target if w != v]] + tail)
+            tried |= 1 << v
 
     dfs(cells0)
     return best_code, best_order

@@ -1,12 +1,15 @@
+import hashlib
 import pickle
 import random
 from itertools import combinations, permutations
 
 import pytest
 
+from stgraphs import graphcore
 from stgraphs.graphcore import (
     Graph,
     Graph6Error,
+    bits,
     canonical_form,
     canonical_label,
     complete_graph,
@@ -16,12 +19,15 @@ from stgraphs.graphcore import (
     empty_graph,
     from_graph6,
     induced_subgraph,
+    is_connected,
     join,
     make_named,
+    marked_label,
     path_graph,
     petersen_graph,
     to_graph6,
 )
+from stgraphs.verify import enumerate_connected
 
 
 def random_graph(rng, n, p=0.4):
@@ -41,6 +47,21 @@ def perm_min_code(g):
         if best is None or code < best:
             best = code
     return best
+
+
+def relabeled(g, rng):
+    """Copy of g under a random permutation of its vertices."""
+    pi = list(range(g.n))
+    rng.shuffle(pi)
+    rows = [0] * g.n
+    for v in range(g.n):
+        for u in bits(g.adj[v]):
+            rows[pi[v]] |= 1 << pi[u]
+    return Graph(g.n, rows)
+
+
+def hypercube(d):
+    return Graph(1 << d, [sum(1 << (v ^ (1 << i)) for i in range(d)) for v in range(1 << d)])
 
 
 # -- named families ------------------------------------------------------
@@ -179,6 +200,11 @@ def test_connected_components():
     assert connected_components(cut) == ((0,), (1,))
     # components of the subgraph induced on {0, 2, 3, 5} of the 6-cycle
     assert component_masks(cycle_graph(6).adj, 0b101101) == (0b000001 | 0b100000, 0b001100)
+    for n in range(6):
+        pairs = list(combinations(range(n), 2))
+        for code in range(1 << len(pairs)):
+            g = Graph.from_edges(n, [pairs[i] for i in range(len(pairs)) if (code >> i) & 1])
+            assert is_connected(g) == (len(connected_components(g)) <= 1)
 
 
 def test_graph_pickles():
@@ -236,6 +262,133 @@ def test_canonical_form_is_isomorphic_relabeling():
             g.degree(v) for v in range(g.n)
         )
         assert canonical_label(c) == canonical_label(g)
+
+
+def _golden_graphs():
+    yield "petersen", petersen_graph()
+    for d in (3, 4, 5):
+        yield f"Q{d}", hypercube(d)
+    for n in range(3, 25):
+        yield f"C{n}", cycle_graph(n)
+    for m in range(1, 9):
+        yield f"K{m},{m}", join(empty_graph(m), empty_graph(m))
+    for n in range(1, 13):
+        yield f"K{n}", complete_graph(n)
+        yield f"E{n}", empty_graph(n)
+
+
+def test_labeling_golden_digest():
+    # sha256 of every label, form and marked label taken before the search
+    # was pruned by automorphisms; the pruning must change none of them
+    rng = random.Random(2014)
+    h = hashlib.sha256()
+    for name, g in _golden_graphs():
+        for copy in range(3):
+            r = relabeled(g, rng)
+            marked = ",".join(marked_label(r, v).hex() for v in range(r.n))
+            line = f"{name} {copy} {canonical_label(r).hex()} {to_graph6(canonical_form(r))} {marked}"
+            h.update(line.encode() + b"\n")
+    assert h.hexdigest() == "6ad5900e2849931d5590cbacb5e25459cf741c2d9c0fac240efe4ef553a79a20"
+
+
+def _reference_search(n, adj, seed_cells=None):
+    """The canonical search before automorphism pruning, visiting every
+    leaf the refinement and the code-prefix cut leave."""
+    if n == 0:
+        return 0, ()
+    if seed_cells is None:
+        by_deg = {}
+        for v in range(n):
+            by_deg.setdefault(adj[v].bit_count(), []).append(v)
+        cells0 = [by_deg[d] for d in sorted(by_deg)]
+    else:
+        cells0 = [list(c) for c in seed_cells if c]
+    width = n * (n - 1) // 2
+    best_code = None
+    best_order = ()
+
+    def dfs(cells):
+        nonlocal best_code, best_order
+        cells = graphcore._refine(adj, cells)
+        order = []
+        code = 0
+        k = 0
+        for cell in cells:
+            if len(cell) > 1:
+                break
+            v = cell[0]
+            code = (code << len(order)) | graphcore._column_bits(adj, order, v)
+            order.append(v)
+            k += 1
+        m = len(order)
+        if best_code is not None and m >= 2:
+            t = m * (m - 1) // 2
+            if code > (best_code >> (width - t)):
+                return
+        if m == n:
+            if best_code is None or code < best_code:
+                best_code, best_order = code, tuple(order)
+            return
+        rest = cells[k:]
+        masks = [graphcore.mask_of(c) for c in cells]
+        if graphcore._uniform_modules(adj, cells, masks):
+            for cell in rest:
+                for v in cell:
+                    code = (code << len(order)) | graphcore._column_bits(adj, order, v)
+                    order.append(v)
+            if best_code is None or code < best_code:
+                best_code, best_order = code, tuple(order)
+            return
+        target = rest[0]
+        head = cells[:k]
+        tail = rest[1:]
+        for v in target:
+            dfs(head + [[v], [w for w in target if w != v]] + tail)
+
+    dfs(cells0)
+    return best_code, best_order
+
+
+def _relabeled_rows(adj, order):
+    pos = {v: i for i, v in enumerate(order)}
+    return tuple(sum(1 << pos[u] for u in bits(adj[v])) for v in order)
+
+
+def test_canonical_search_matches_unpruned_reference():
+    # the pruned search must reach the reference's minimum code; the order
+    # achieving it may differ, the relabeled rows may not
+    rng = random.Random(1998)
+    graphs = [relabeled(g, rng) for n in range(1, 8) for g in enumerate_connected(n)]
+    graphs += [relabeled(hypercube(4), rng), relabeled(petersen_graph(), rng)]
+    for g in graphs:
+        seeds = [None] + [[[v], [w for w in range(g.n) if w != v]] for v in range(g.n)]
+        for seed in seeds:
+            code, order = graphcore._canonical_search(g.n, g.adj, seed)
+            ref_code, ref_order = _reference_search(g.n, g.adj, seed)
+            assert code == ref_code
+            assert sorted(order) == list(range(g.n))
+            assert _relabeled_rows(g.adj, order) == _relabeled_rows(g.adj, ref_order)
+
+
+@pytest.mark.parametrize(
+    "g, cap", [(hypercube(5), 1000), (petersen_graph(), 60)], ids=["Q5", "petersen"]
+)
+def test_canonical_search_size_is_pruned(monkeypatch, g, cap):
+    # without pruning Q5 takes 6,113 refinements and Petersen 191
+    calls = []
+    refine = graphcore._refine
+
+    def counting(adj, cells):
+        calls.append(1)
+        return refine(adj, cells)
+
+    monkeypatch.setattr(graphcore, "_refine", counting)
+    rng = random.Random(32)
+    for _ in range(2):
+        calls.clear()
+        graphcore._canon_cached.cache_clear()
+        canonical_label(relabeled(g, rng))
+        assert 0 < len(calls) <= cap
 
 
 # -- graph6 ------------------------------------------------------------------
