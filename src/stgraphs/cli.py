@@ -29,7 +29,7 @@ def _cmd_check(args) -> int:
     print(f"degrees: {sorted(g.degree(v) for v in range(g.n))}")
     comps = graphcore.connected_components(g)
     print(f"components: {len(comps)}")
-    print(f"canonical: {graphcore.to_graph6(graphcore.canonical_form(g))}")
+    print(f"canonical: {graphcore.canonical_graph6(g)}")
     if g.n >= 1:
         print(f"independence_number: {predicates.independence_number(g)}")
         print(f"vertex_connectivity: {predicates.vertex_connectivity(g)}")

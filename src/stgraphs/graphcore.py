@@ -4,8 +4,9 @@ Vertices are 0..n-1 and every neighborhood is a single machine-word bit
 mask, so induced subgraphs, neighborhood queries and subset edge counts
 are a handful of integer operations.  The module also provides the named
 graph families used throughout the test-suites, a canonical labeling
-(degree refinement with backtracking and automorphism pruning), and a
-graph6 codec for interop with standard generators.
+(splitter refinement with backtracking and automorphism pruning) that
+also yields automorphism generators, and a graph6 codec for interop with
+standard generators.
 """
 
 from __future__ import annotations
@@ -252,44 +253,73 @@ def subset_connected(adj, sub_mask: int) -> bool:
 # smallest column-major upper-triangle bit string over all orderings the
 # search reaches, which is invariant under relabeling.
 #
+# Splitter refinement.  A round splits every cell by its vertices' counts
+# of neighbors in the cells of the current partition and orders the
+# subcells by that count vector.  Only the counts into splitters are
+# taken: a count that is constant inside every cell can neither split a
+# cell nor reorder its subcells, and when a cell X split into X1..Xj in
+# the previous round, the count into Xj is the count into X, constant
+# inside every cell, minus the counts into X1..Xj-1.  So the splitters of
+# a round are the new subcells of the previous one but the last of each
+# split.  The first round of a degree partition needs every cell but the
+# last (the degree fixes the rest), and a search child, individualizing v
+# in an equitable partition, needs only {v}.  The groups and their order
+# are those of counting into every cell.
+#
 # Automorphism pruning.  Two leaves with equal codes give the same
 # relabeled graph, so best_order[i] -> order[i] is an automorphism; the
 # search records one at every leaf (discrete or uniform-module) that ties
 # the best code.  At a branching node, an automorphism g mapping every
 # cell of the node's refined partition onto itself maps the subtree of
-# child v onto the subtree of child g(v) with the same codes: _refine is
-# relabeling-invariant and its cells depend only on cell sets.  Once v is
-# tried, every target vertex in the orbit of the tried ones under such
+# child v onto the subtree of child g(v) with the same codes: refinement
+# is relabeling-invariant and its cells depend only on cell sets.  Once v
+# is tried, every target vertex in the orbit of the tried ones under such
 # automorphisms is skipped.  The minimum code is unchanged, hence so are
 # canonical_label and canonical_form (its rows follow from the code), and
-# marked_label is pruned through its seed cells.
+# marked_label is pruned through its seed cells.  automorphism_generators
+# exports the recorded automorphisms together with the within-cell
+# transpositions of every uniform-module leaf.
 
 
-def _refine(adj, cells):
-    """Equitable refinement; subcells ordered by neighbor-count signature."""
-    cells = [list(c) for c in cells]
-    while True:
-        masks = [mask_of(c) for c in cells]
-        out = []
-        split = False
-        for cell in cells:
+def _refine_split(adj, cells, masks, splitters):
+    """Equitable refinement of the ordered partition cells, with their
+    masks, counting neighbors into the splitter masks only (see above);
+    subcells are ordered by count signature.  Returns the refined cells
+    and their masks."""
+    while splitters:
+        out_cells: list[list[int]] = []
+        out_masks: list[int] = []
+        nxt: list[int] = []
+        for cell, cmask in zip(cells, masks):
             if len(cell) == 1:
-                out.append(cell)
+                out_cells.append(cell)
+                out_masks.append(cmask)
                 continue
             groups: dict[tuple, list[int]] = {}
             for v in cell:
                 av = adj[v]
-                key = tuple((av & m).bit_count() for m in masks)
+                key = tuple([(av & s).bit_count() for s in splitters])
                 groups.setdefault(key, []).append(v)
             if len(groups) == 1:
-                out.append(cell)
-            else:
-                split = True
-                for key in sorted(groups):
-                    out.append(groups[key])
-        if not split:
-            return out
-        cells = out
+                out_cells.append(cell)
+                out_masks.append(cmask)
+                continue
+            for key in sorted(groups):
+                sub = groups[key]
+                out_cells.append(sub)
+                out_masks.append(mask_of(sub))
+            nxt.extend(out_masks[len(out_masks) - len(groups):-1])
+        cells, masks, splitters = out_cells, out_masks, nxt
+    return cells, masks
+
+
+def _degree_cells(adj, degs):
+    """Cells of equal degree in ascending degree order, with their masks."""
+    by_deg: dict[int, list[int]] = {}
+    for v, d in enumerate(degs):
+        by_deg.setdefault(d, []).append(v)
+    cells = [by_deg[d] for d in sorted(by_deg)]
+    return cells, [mask_of(c) for c in cells]
 
 
 def _uniform_modules(adj, cells, masks) -> bool:
@@ -331,21 +361,22 @@ def _orbit_closure(mask: int, gens) -> int:
     return mask
 
 
-def _canonical_search(n: int, adj, seed_cells=None):
+def _canonical_search(n: int, adj, seed_cells=None, gens=None):
     """Minimum column-major adjacency code and a vertex order achieving it.
 
     Branches on the first non-singleton cell of each refined partition and
     skips a target vertex lying in the orbit of the tried ones under the
-    recorded automorphisms that fix every cell of that partition."""
+    recorded automorphisms that fix every cell of that partition.  When
+    gens is a list, the within-cell transpositions of every uniform-module
+    leaf and then the recorded automorphisms are appended to it."""
     if n == 0:
         return 0, ()
     if seed_cells is None:
-        by_deg: dict[int, list[int]] = {}
-        for v in range(n):
-            by_deg.setdefault(adj[v].bit_count(), []).append(v)
-        cells0 = [by_deg[d] for d in sorted(by_deg)]
+        cells0, masks0 = _degree_cells(adj, [row.bit_count() for row in adj])
+        splitters0 = masks0[:-1]
     else:
         cells0 = [list(c) for c in seed_cells if c]
+        masks0 = splitters0 = [mask_of(c) for c in cells0]
     width = n * (n - 1) // 2
     best_code = None
     best_order: tuple[int, ...] = ()
@@ -361,8 +392,8 @@ def _canonical_search(n: int, adj, seed_cells=None):
                 g[a] = b
             autos.append(g)
 
-    def dfs(cells):
-        cells = _refine(adj, cells)
+    def dfs(cells, masks, splitters):
+        cells, masks = _refine_split(adj, cells, masks, splitters)
         order: list[int] = []
         code = 0
         k = 0
@@ -382,19 +413,24 @@ def _canonical_search(n: int, adj, seed_cells=None):
             leaf(code, order)
             return
         rest = cells[k:]
-        masks = [mask_of(c) for c in cells]
         if _uniform_modules(adj, cells, masks):
             for cell in rest:
                 for v in cell:
                     code = (code << len(order)) | _column_bits(adj, order, v)
                     order.append(v)
+                if gens is not None:
+                    for a, b in zip(cell, cell[1:]):
+                        g = list(range(n))
+                        g[a], g[b] = b, a
+                        gens.append(g)
             leaf(code, order)
             return
         target = rest[0]
-        head = cells[:k]
-        tail = rest[1:]
+        tmask = masks[k]
+        head, hmasks = cells[:k], masks[:k]
+        tail, tmasks = rest[1:], masks[k + 1:]
         cell_of = None
-        gens: list[list[int]] = []
+        fixing: list[list[int]] = []
         checked = 0
         tried = 0
         for v in target:
@@ -407,16 +443,23 @@ def _canonical_search(n: int, adj, seed_cells=None):
                                 cell_of[u] = i
                     for g in autos[checked:]:
                         if [cell_of[x] for x in g] == cell_of:
-                            gens.append(g)
+                            fixing.append(g)
                     checked = len(autos)
-                if gens:
-                    tried = _orbit_closure(tried, gens)
+                if fixing:
+                    tried = _orbit_closure(tried, fixing)
                     if (tried >> v) & 1:
                         continue
-            dfs(head + [[v], [w for w in target if w != v]] + tail)
-            tried |= 1 << v
+            bit = 1 << v
+            dfs(
+                head + [[v], [w for w in target if w != v]] + tail,
+                hmasks + [bit, tmask ^ bit] + tmasks,
+                [bit],
+            )
+            tried |= bit
 
-    dfs(cells0)
+    dfs(cells0, masks0, splitters0)
+    if gens is not None:
+        gens.extend(autos)
     return best_code, best_order
 
 
@@ -443,6 +486,13 @@ def canonical_form(g: Graph) -> Graph:
     return Graph._from_rows(g.n, rows)
 
 
+def canonical_graph6(g: Graph) -> str:
+    """to_graph6(canonical_form(g)), written straight from the canonical
+    code: its column-major upper triangle is graph6's own bit order."""
+    code, _ = _canon_cached(g.n, g.adj)
+    return _graph6_of_code(g.n, code)
+
+
 def marked_label(g: Graph, v: int) -> bytes:
     """Canonical label of g with vertex v individualized; equal labels iff
     some automorphism maps one marked vertex to the other."""
@@ -450,6 +500,16 @@ def marked_label(g: Graph, v: int) -> bytes:
     code, _ = _canonical_search(g.n, g.adj, seed_cells=[[v], rest])
     width = g.n * (g.n - 1) // 2
     return bytes([g.n]) + code.to_bytes((width + 7) // 8, "big")
+
+
+def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
+    """Automorphisms of g found by the canonical search, each as the image
+    tuple of 0..n-1: one per leaf tying the best code, plus the
+    within-cell transpositions of every uniform-module leaf.  Computed
+    afresh on each call; the label cache keeps no generators."""
+    gens: list[list[int]] = []
+    _canonical_search(g.n, g.adj, gens=gens)
+    return [tuple(p) for p in gens]
 
 
 # -- graph6 codec ------------------------------------------------------
@@ -461,22 +521,26 @@ def _pair_order(n: int):
             yield i, j
 
 
+def _graph6_of_code(n: int, code: int) -> str:
+    """Short-form graph6 of the order-n graph whose column-major upper
+    triangle, read most significant bit first, is code."""
+    if n > 62:
+        raise Graph6Error(f"short-form graph6 encodes at most 62 vertices, got {n}")
+    width = n * (n - 1) // 2
+    chars = (width + 5) // 6
+    code <<= 6 * chars - width
+    out = [chr(n + 63)]
+    for shift in range(6 * chars - 6, -1, -6):
+        out.append(chr(((code >> shift) & 63) + 63))
+    return "".join(out)
+
+
 def to_graph6(g: Graph) -> str:
     """Short-form graph6 (n <= 62), no header."""
-    if g.n > 62:
-        raise Graph6Error(f"short-form graph6 encodes at most 62 vertices, got {g.n}")
-    out = [chr(g.n + 63)]
-    acc = 0
-    nb = 0
-    for i, j in _pair_order(g.n):
-        acc = (acc << 1) | ((g.adj[i] >> j) & 1)
-        nb += 1
-        if nb == 6:
-            out.append(chr(acc + 63))
-            acc, nb = 0, 0
-    if nb:
-        out.append(chr((acc << (6 - nb)) + 63))
-    return "".join(out)
+    code = 0
+    for j in range(1, g.n):
+        code = (code << j) | _column_bits(g.adj, range(j), j)
+    return _graph6_of_code(g.n, code)
 
 
 @lru_cache(maxsize=None)

@@ -1,10 +1,11 @@
 """Exhaustive small-graph enumeration and the theorem verification harness.
 
 Connected graphs are generated one representative per isomorphism class
-by canonical vertex augmentation: a child produced by attaching a new
-vertex is kept only when the new vertex lies in the canonical deletion
-orbit of the child, and children of one parent are deduplicated by
-canonical label.  The theorem scans then test every graph in range
+by canonical vertex augmentation: a new vertex is attached to one
+neighbor set per orbit of the parent's automorphism group, the child is
+kept only when the new vertex lies in the canonical deletion orbit of
+the child, and children of one parent are deduplicated by canonical
+graph6.  The theorem scans then test every graph in range
 against the hypotheses and record exception/counterexample certificates
 as graph6 strings.
 """
@@ -19,13 +20,15 @@ from typing import Callable
 from .graphcore import (
     Graph,
     Graph6Error,
-    _refine,
-    canonical_form,
+    _degree_cells,
+    _refine_split,
+    automorphism_generators,
+    canonical_graph6,
     canonical_label,
+    component_masks,
     from_graph6,
     is_connected,
     marked_label,
-    subset_connected,
     to_graph6,
 )
 from .predicates import (
@@ -45,16 +48,24 @@ BRUTE_MAX = 7
 _level_cache: dict[int, tuple[str, ...]] = {}
 
 
-def _canonical_augmentation(child: Graph) -> bool:
-    """Accept the child (new vertex = last index) iff the new vertex is a
-    canonical choice among deletable vertices.
+def _parent_cuts(parent: Graph):
+    """Degrees of the parent and, for each vertex v, the component masks
+    of parent - v: what decides the cut vertices of every child."""
+    full = parent.full_mask()
+    degs = [row.bit_count() for row in parent.adj]
+    return degs, [component_masks(parent.adj, full & ~(1 << v)) for v in range(parent.n)]
 
-    Deletable means non-cut; the new vertex z always is, because the
-    parent it was attached to is connected.  The canonical choice
-    minimizes, over deletable vertices, first the cell index after
-    refining the degree partition (an isomorphism invariant) and then
-    the vertex-marked canonical label, so isomorphic children accept
-    exactly one deletion orbit.
+
+def _canonical_augmentation(parent: Graph, degs, comps, smask: int):
+    """The child of parent with a new vertex z = parent.n joined to the
+    vertices of smask if canonical augmentation accepts it, else None.
+
+    The child is accepted iff z is a canonical choice among deletable
+    vertices.  Deletable means non-cut; z always is, because the parent
+    is connected.  The canonical choice minimizes, over deletable
+    vertices, first the cell index after refining the degree partition
+    (an isomorphism invariant) and then the vertex-marked canonical
+    label, so isomorphic children accept exactly one deletion orbit.
 
     Refinement only splits cells in place and the initial cells are
     sorted by degree, so a vertex of smaller degree always has a smaller
@@ -63,55 +74,96 @@ def _canonical_augmentation(child: Graph) -> bool:
     and refinement is needed only when another deletable vertex has
     degree d.  This decides the same acceptance as comparing cell
     indices over all deletable vertices.
+
+    Degrees and cuts come from the parent (see _parent_cuts): for v in
+    the parent, child - v is connected iff smask - v meets every
+    component of parent - v, and child - v is {z} when the parent is
+    {v}.  The child is built only when no deletable vertex of smaller
+    degree rejects it.
     """
-    adj = child.adj
-    n = child.n
-    z = n - 1
-    full = (1 << n) - 1
-    degs = [row.bit_count() for row in adj]
-    d = degs[z]
-    for v in range(z):
-        if degs[v] < d and subset_connected(adj, full & ~(1 << v)):
-            return False
-    rivals = [
-        v for v in range(z)
-        if degs[v] == d and subset_connected(adj, full & ~(1 << v))
-    ]
+    m = parent.n
+    d = smask.bit_count()
+    rivals = []
+    for v in range(m):
+        dv = degs[v] + ((smask >> v) & 1)
+        if dv <= d and all(c & smask for c in comps[v]):
+            if dv < d:
+                return None
+            rivals.append(v)
+    rows = [parent.adj[v] | (((smask >> v) & 1) << m) for v in range(m)]
+    rows.append(smask)
+    child = Graph._from_rows(m + 1, rows)
     if not rivals:
-        return True
-    by_deg: dict[int, list[int]] = {}
-    for v in range(n):
-        by_deg.setdefault(degs[v], []).append(v)
-    cells = _refine(adj, [by_deg[k] for k in sorted(by_deg)])
+        return child
+    cells, masks = _degree_cells(rows, [row.bit_count() for row in rows])
+    cells, _ = _refine_split(rows, cells, masks, masks[:-1])
     cell_of = {}
     for idx, cell in enumerate(cells):
         for v in cell:
             cell_of[v] = idx
-    cz = cell_of[z]
+    cz = cell_of[m]
     if any(cell_of[v] < cz for v in rivals):
-        return False
+        return None
     rivals = [v for v in rivals if cell_of[v] == cz]
     if not rivals:
-        return True
-    lz = marked_label(child, z)
-    return all(marked_label(child, v) >= lz for v in rivals)
+        return child
+    lz = marked_label(child, m)
+    return child if all(marked_label(child, v) >= lz for v in rivals) else None
+
+
+def _mask_tables(perm):
+    """Vertex-mask images under the permutation perm as two tables, so that
+    the image of mask s is lo[s & 31] | hi[s >> 5]."""
+
+    def table(offset: int, count: int) -> list[int]:
+        t = [0] * (1 << count)
+        for s in range(1, 1 << count):
+            b = s & -s
+            t[s] = t[s ^ b] | (1 << perm[offset + b.bit_length() - 1])
+        return t
+
+    n = len(perm)
+    return table(0, min(n, 5)), table(5, max(n - 5, 0))
+
+
+def _mark_orbit(seen: bytearray, smask: int, tables) -> None:
+    """Set seen[s] for every s in the orbit of smask under the group the
+    permutations of tables (see _mask_tables) generate."""
+    seen[smask] = 1
+    stack = [smask]
+    while stack:
+        x = stack.pop()
+        lo_i, hi_i = x & 31, x >> 5
+        for lo, hi in tables:
+            y = lo[lo_i] | hi[hi_i]
+            if not seen[y]:
+                seen[y] = 1
+                stack.append(y)
 
 
 def _grow_level(parents: tuple[str, ...]) -> tuple[str, ...]:
+    """Accepted children of every parent, each parent's sorted by label.
+
+    Attachment masks are tried in ascending order, one per orbit of the
+    parent's automorphism group: a mask g(S) with g an automorphism gives
+    a child isomorphic to S's with z fixed, so the same acceptance and
+    the same label."""
     out: list[str] = []
     for parent_g6 in parents:
         parent = from_graph6(parent_g6)
-        m = parent.n
-        children: dict[bytes, str] = {}
-        for smask in range(1, 1 << m):
-            rows = [parent.adj[v] | (((smask >> v) & 1) << m) for v in range(m)]
-            rows.append(smask)
-            child = Graph._from_rows(m + 1, rows)
-            if _canonical_augmentation(child):
-                lbl = canonical_label(child)
-                if lbl not in children:
-                    children[lbl] = to_graph6(canonical_form(child))
-        out.extend(children[lbl] for lbl in sorted(children))
+        degs, comps = _parent_cuts(parent)
+        tables = [_mask_tables(g) for g in automorphism_generators(parent)]
+        seen = bytearray(1 << parent.n)
+        children: set[str] = set()
+        for smask in range(1, 1 << parent.n):
+            if seen[smask]:
+                continue
+            _mark_orbit(seen, smask, tables)
+            child = _canonical_augmentation(parent, degs, comps, smask)
+            if child is not None:
+                children.add(canonical_graph6(child))
+        # the children share one order, so graph6 text sorts as the label does
+        out.extend(sorted(children))
     return tuple(out)
 
 
@@ -154,7 +206,7 @@ def brute_force_connected(n: int):
             rows[i] |= 1 << j
             rows[j] |= 1 << i
             c ^= b
-        g = Graph(n, rows)
+        g = Graph._from_rows(n, rows)
         if not is_connected(g):
             continue
         lbl = canonical_label(g)
@@ -341,9 +393,9 @@ def _scan_slice(args):
         h, exception, refuted = judge(g, k)
         hits += h
         if refuted:
-            counters.append(to_graph6(canonical_form(g)))
+            counters.append(canonical_graph6(g))
         elif exception is not None:
-            exceptions.append((to_graph6(canonical_form(g)), exception[0]))
+            exceptions.append((canonical_graph6(g), exception[0]))
     return orders, hits, exceptions, counters
 
 
@@ -463,5 +515,5 @@ def min_size_search(n: int, s: int, t: int) -> MinSizeResult:
             continue
         e = g.edge_count
         if best is None or e < best:
-            best, witness = e, to_graph6(canonical_form(g))
+            best, witness = e, canonical_graph6(g)
     return MinSizeResult(n, s, t, lower, best, witness)

@@ -9,8 +9,10 @@ from stgraphs import graphcore
 from stgraphs.graphcore import (
     Graph,
     Graph6Error,
+    automorphism_generators,
     bits,
     canonical_form,
+    canonical_graph6,
     canonical_label,
     complete_graph,
     component_masks,
@@ -291,9 +293,69 @@ def test_labeling_golden_digest():
     assert h.hexdigest() == "6ad5900e2849931d5590cbacb5e25459cf741c2d9c0fac240efe4ef553a79a20"
 
 
+def reference_refine(adj, cells):
+    """Equitable refinement counting, every round, neighbors into every
+    cell of the partition: the definition the splitter kernel shortcuts."""
+    cells = [list(c) for c in cells]
+    while True:
+        masks = [graphcore.mask_of(c) for c in cells]
+        out = []
+        split = False
+        for cell in cells:
+            if len(cell) == 1:
+                out.append(cell)
+                continue
+            groups = {}
+            for v in cell:
+                key = tuple((adj[v] & m).bit_count() for m in masks)
+                groups.setdefault(key, []).append(v)
+            if len(groups) == 1:
+                out.append(cell)
+            else:
+                split = True
+                for key in sorted(groups):
+                    out.append(groups[key])
+        if not split:
+            return out
+        cells = out
+
+
+def test_splitter_refinement_matches_all_cells_rounds():
+    # the three starts the search and the augmentation use: every cell, a
+    # degree partition less its last cell, and one vertex individualized
+    # in an equitable partition
+    rng = random.Random(2014)
+    graphs = [relabeled(g, rng) for n in range(1, 7) for g in enumerate_connected(n)]
+    graphs += [random_graph(rng, rng.randint(2, 14), rng.random()) for _ in range(300)]
+    graphs += [relabeled(g, rng) for g in (hypercube(4), petersen_graph(), cycle_graph(9))]
+    for g in graphs:
+        adj = g.adj
+        order = list(range(g.n))
+        rng.shuffle(order)
+        cuts = sorted(rng.sample(range(1, g.n), rng.randint(0, g.n - 1)))
+        ordered = [order[a:b] for a, b in zip([0] + cuts, cuts + [g.n])]
+        for cells in ([list(range(g.n))], ordered):
+            masks = [graphcore.mask_of(c) for c in cells]
+            got = graphcore._refine_split(adj, cells, masks, masks)
+            assert got[0] == reference_refine(adj, cells)
+            assert got[1] == [graphcore.mask_of(c) for c in got[0]]
+        cells, masks = graphcore._degree_cells(adj, [row.bit_count() for row in adj])
+        want = reference_refine(adj, cells)
+        assert graphcore._refine_split(adj, cells, masks, masks[:-1])[0] == want
+        target = next((c for c in want if len(c) > 1), None)
+        if target is not None:
+            i = want.index(target)
+            for v in target:
+                child = want[:i] + [[v], [w for w in target if w != v]] + want[i + 1:]
+                masks = [graphcore.mask_of(c) for c in child]
+                got, _ = graphcore._refine_split(adj, child, masks, [1 << v])
+                assert got == reference_refine(adj, child)
+
+
 def _reference_search(n, adj, seed_cells=None):
-    """The canonical search before automorphism pruning, visiting every
-    leaf the refinement and the code-prefix cut leave."""
+    """The canonical search before automorphism pruning and splitter
+    refinement, visiting every leaf the refinement and the code-prefix cut
+    leave."""
     if n == 0:
         return 0, ()
     if seed_cells is None:
@@ -309,7 +371,7 @@ def _reference_search(n, adj, seed_cells=None):
 
     def dfs(cells):
         nonlocal best_code, best_order
-        cells = graphcore._refine(adj, cells)
+        cells = reference_refine(adj, cells)
         order = []
         code = 0
         k = 0
@@ -374,21 +436,69 @@ def test_canonical_search_matches_unpruned_reference():
     "g, cap", [(hypercube(5), 1000), (petersen_graph(), 60)], ids=["Q5", "petersen"]
 )
 def test_canonical_search_size_is_pruned(monkeypatch, g, cap):
-    # without pruning Q5 takes 6,113 refinements and Petersen 191
+    # without pruning Q5 takes 6,113 refinements and Petersen 191; every
+    # search node runs the refinement kernel once
     calls = []
-    refine = graphcore._refine
+    refine = graphcore._refine_split
 
-    def counting(adj, cells):
+    def counting(*args):
         calls.append(1)
-        return refine(adj, cells)
+        return refine(*args)
 
-    monkeypatch.setattr(graphcore, "_refine", counting)
+    monkeypatch.setattr(graphcore, "_refine_split", counting)
     rng = random.Random(32)
     for _ in range(2):
         calls.clear()
         graphcore._canon_cached.cache_clear()
         canonical_label(relabeled(g, rng))
         assert 0 < len(calls) <= cap
+
+
+def is_automorphism(g, perm):
+    return sorted(perm) == list(range(g.n)) and all(
+        sum(1 << perm[u] for u in bits(g.adj[v])) == g.adj[perm[v]] for v in range(g.n)
+    )
+
+
+def generated_group(gens, n):
+    """Every product of the generators, by closure from the identity."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        x = frontier.pop()
+        for p in gens:
+            y = tuple(p[i] for i in x)
+            if y not in group:
+                group.add(y)
+                frontier.append(y)
+    return group
+
+
+def test_automorphism_generators_are_automorphisms():
+    rng = random.Random(1981)
+    graphs = [relabeled(g, rng) for n in range(1, 8) for g in enumerate_connected(n)]
+    graphs += [relabeled(g, rng) for g in (hypercube(4), hypercube(5), petersen_graph())]
+    graphs += [complete_graph(n) for n in range(1, 9)] + [empty_graph(n) for n in range(9)]
+    graphs += [join(empty_graph(m), empty_graph(m)) for m in range(1, 6)]
+    for g in graphs:
+        for perm in automorphism_generators(g):
+            assert len(perm) == g.n and is_automorphism(g, perm), (to_graph6(g), perm)
+
+
+def test_automorphism_generators_generate_the_group():
+    # brute force over all n! permutations: the generated group is the whole
+    # group, so growth prunes attachment masks by the true vertex orbits
+    rng = random.Random(1998)
+    graphs = [relabeled(g, rng) for n in range(1, 7) for g in enumerate_connected(n)]
+    graphs += [empty_graph(n) for n in range(1, 7)] + [join(empty_graph(3), empty_graph(3))]
+    for g in graphs:
+        brute = {p for p in permutations(range(g.n)) if is_automorphism(g, p)}
+        group = generated_group(automorphism_generators(g), g.n)
+        assert group == brute, to_graph6(g)
+    for g in (petersen_graph(), hypercube(4)):
+        g = relabeled(g, rng)
+        gens = automorphism_generators(g)
+        assert len(generated_group(gens, g.n)) == (120 if g.n == 10 else 384)
 
 
 # -- graph6 ------------------------------------------------------------------
@@ -484,6 +594,16 @@ def test_graph6_decode_matches_reference_reader():
         else:
             g = from_graph6(text)
             assert (g.n, g.adj) == (n, want)
+
+
+def test_canonical_graph6_matches_encoded_canonical_form():
+    rng = random.Random(62)
+    graphs = [relabeled(g, rng) for n in range(1, 9) for g in enumerate_connected(n)]
+    assert len(graphs) == 12113
+    graphs += [relabeled(g, rng) for g in (hypercube(5), petersen_graph(), cycle_graph(24))]
+    graphs.append(empty_graph(0))
+    for g in graphs:
+        assert canonical_graph6(g) == to_graph6(canonical_form(g))
 
 
 def test_graph6_output_order_limit():

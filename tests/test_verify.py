@@ -1,12 +1,15 @@
 import hashlib
+import random
 from dataclasses import replace
+from itertools import permutations
 
 import pytest
 
 from stgraphs.graphcore import (
     Graph,
     Graph6Error,
-    _refine,
+    _refine_split,
+    automorphism_generators,
     canonical_form,
     canonical_label,
     complete_graph,
@@ -16,6 +19,7 @@ from stgraphs.graphcore import (
     is_connected,
     join,
     marked_label,
+    mask_of,
     petersen_graph,
     subset_connected,
     to_graph6,
@@ -31,6 +35,9 @@ from stgraphs.verify import (
     _canonical_augmentation,
     _judge_edge_bound,
     _connected_level,
+    _mark_orbit,
+    _mask_tables,
+    _parent_cuts,
     _worker_count,
     brute_force_connected,
     enumerate_connected,
@@ -84,7 +91,9 @@ def reference_augmentation(child):
     by_deg = {}
     for v in range(n):
         by_deg.setdefault(child.degree(v), []).append(v)
-    cells = _refine(child.adj, [by_deg[d] for d in sorted(by_deg)])
+    cells = [by_deg[d] for d in sorted(by_deg)]
+    masks = [mask_of(c) for c in cells]
+    cells, _ = _refine_split(child.adj, cells, masks, masks)
     cell_of = {v: i for i, cell in enumerate(cells) for v in cell}
     cmin = min(cell_of[v] for v in deletable)
     if cell_of[z] != cmin:
@@ -99,14 +108,56 @@ def test_augmentation_matches_reference_definition():
     children = accepted = 0
     for m in range(1, 7):
         for parent in enumerate_connected(m):
+            degs, comps = _parent_cuts(parent)
             for smask in range(1, 1 << m):
                 rows = [parent.adj[v] | (((smask >> v) & 1) << m) for v in range(m)]
                 child = Graph(m + 1, rows + [smask])
-                got = _canonical_augmentation(child)
-                assert got == reference_augmentation(child), to_graph6(child)
+                got = _canonical_augmentation(parent, degs, comps, smask)
+                assert (got is not None) == reference_augmentation(child), to_graph6(child)
+                assert got is None or got == child
                 children += 1
-                accepted += got
+                accepted += got is not None
     assert children == 7815 and 0 < accepted < children
+
+
+def permute_mask_by_bits(perm, mask):
+    out = 0
+    for v in range(len(perm)):
+        if (mask >> v) & 1:
+            out |= 1 << perm[v]
+    return out
+
+
+def test_mask_tables_match_bit_loop():
+    rng = random.Random(9)
+    for n in list(range(1, 10)) + [9] * 5:
+        perm = list(range(n))
+        rng.shuffle(perm)
+        lo, hi = _mask_tables(perm)
+        for mask in range(1 << n):
+            assert lo[mask & 31] | hi[mask >> 5] == permute_mask_by_bits(perm, mask)
+
+
+def test_mask_orbits_match_brute_force_group():
+    # the orbits growth tries one mask of: marked through the generators'
+    # tables, counted against the orbits of the brute-force group
+    for n in range(1, 7):
+        for g in enumerate_connected(n):
+            group = [
+                p for p in permutations(range(n))
+                if all(permute_mask_by_bits(p, g.adj[v]) == g.adj[p[v]] for v in range(n))
+            ]
+            brute = {
+                min(permute_mask_by_bits(p, mask) for p in group) for mask in range(1, 1 << n)
+            }
+            tables = [_mask_tables(p) for p in automorphism_generators(g)]
+            seen = bytearray(1 << n)
+            tried = 0
+            for mask in range(1, 1 << n):
+                if not seen[mask]:
+                    _mark_orbit(seen, mask, tables)
+                    tried += 1
+            assert tried == len(brute), to_graph6(g)
 
 
 def test_connected_levels_golden_digest():
@@ -114,6 +165,16 @@ def test_connected_levels_golden_digest():
     text = "\n".join(g6 for n in range(1, 8) for g6 in _connected_level(n))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "198f4e4cf159cb0e05d62f124d6f729bc1ef30bb51382453ce53158486f1deec"
+    )
+
+
+def test_connected_level_8_pinned():
+    """Level 8 as the all-masks augmentation produced it, before growth
+    tried one mask per orbit."""
+    level = _connected_level(8)
+    assert len(level) == 11117
+    assert hashlib.sha256("\n".join(level).encode()).hexdigest() == (
+        "4e53f6e9c882014277e42beac3b02b2c191a080e0019f28c0ca1e40625b64982"
     )
 
 
