@@ -11,8 +11,12 @@ fallback.
 
 Every matcher pairs two anchors of the outside vertex, so the engine
 only offers views with at least two; the reversed view of a path is the
-mirror of the forward one.  Matchers and path checks test bits of the
-adjacency rows ``g.adj`` directly.
+mirror of the forward one.  Each rule records ``min_order``, the fewest
+path vertices its index constraints allow a match on, and the engine
+skips it on shorter paths.  Views are built on demand, in the order the
+rules try them, so a move found on the first view builds only that one.
+Matchers and path checks test bits of the adjacency rows ``g.adj``
+directly.
 """
 
 from __future__ import annotations
@@ -28,6 +32,10 @@ from .predicates import JoinWitness, exception_witness, hamilton_uv_path
 
 class RuleTranscriptionError(RuntimeError):
     """A matched rewiring produced an invalid sequence (a rule bug)."""
+
+
+class NoPathError(ValueError):
+    """The endpoints lie in different components: no (u,v)-path exists."""
 
 
 def validate_path(g: Graph, seq, u: int, v: int) -> bool:
@@ -512,21 +520,41 @@ def _rule_r1(g: Graph, ap: AnchoredPath):
 
 @dataclass(frozen=True)
 class RewriteRule:
+    """A cataloged rewiring.  ``min_order`` is the fewest path vertices on
+    which ``matcher`` can return a sequence; the engine does not run the
+    rule on shorter paths."""
+
     id: str
     kind: str  # completes-hamilton | extends-path | raises-rho
     matcher: Callable[[Graph, AnchoredPath], Optional[tuple[int, ...]]]
+    min_order: int
 
 
+# Each min_order is last + 1 for the smallest last index the matcher's
+# index constraints allow:
+#   H1  anchors a < b < last and a chord index t, a < t < b: last >= 3
+#   H2  anchors 1 <= a < b < last: last >= 3
+#   H3  anchors 1 <= a < b and an index x, b <= x < last: last >= 3
+#   H4  anchors m and m + 2 and an index x, m + 2 < x < last; or a third
+#       anchor m3 > m + 2 and an anchor t < last with t < m (so m3 >= 4)
+#       or t >= m3 (so t >= 3): last >= 4
+#   H5  hook anchors 1 <= q < q1 and an anchor am whose successor
+#       am + 1 <= last lies before q (q >= 2) or after q1: last >= 3; the
+#       endgames and table rewirings need more
+#   E1  two consecutive anchors: last >= 1
+#   E2  anchors a < b < last: last >= 2
+#   E3  an anchor a >= 2 and an index w, w < a - 2 or a <= w < last: last >= 3
+#   R1  anchors 1 <= a, a + 2 <= q, or 2 <= q < b: last >= 3
 RULE_CATALOG: tuple[RewriteRule, ...] = (
-    RewriteRule("H1", "completes-hamilton", _rule_h1),
-    RewriteRule("H2", "completes-hamilton", _rule_h2),
-    RewriteRule("H3", "completes-hamilton", _rule_h3),
-    RewriteRule("H4", "completes-hamilton", _rule_h4),
-    RewriteRule("H5", "completes-hamilton", _rule_h5),
-    RewriteRule("E1", "extends-path", _rule_e1),
-    RewriteRule("E2", "extends-path", _rule_e2),
-    RewriteRule("E3", "extends-path", _rule_e3),
-    RewriteRule("R1", "raises-rho", _rule_r1),
+    RewriteRule("H1", "completes-hamilton", _rule_h1, 4),
+    RewriteRule("H2", "completes-hamilton", _rule_h2, 4),
+    RewriteRule("H3", "completes-hamilton", _rule_h3, 4),
+    RewriteRule("H4", "completes-hamilton", _rule_h4, 5),
+    RewriteRule("H5", "completes-hamilton", _rule_h5, 4),
+    RewriteRule("E1", "extends-path", _rule_e1, 2),
+    RewriteRule("E2", "extends-path", _rule_e2, 3),
+    RewriteRule("E3", "extends-path", _rule_e3, 4),
+    RewriteRule("R1", "raises-rho", _rule_r1, 4),
 )
 
 RULES_BY_ID = {r.id: r for r in RULE_CATALOG}
@@ -640,34 +668,48 @@ def _find_move(g: Graph, path: tuple[int, ...]):
     reverse for every outside vertex.  Returns (rule_id, new_path,
     rho_before, rho_after) or None.
 
-    Views with fewer than two anchors are skipped: no rule matches them.
-    The reversed view mirrors the forward one (anchor i becomes last - i,
-    rho is unchanged), and views are tried forward first, outside
-    vertices ascending."""
-    last = len(path) - 1
-    rest = g.full_mask() & ~mask_of(path)
-    rev = path[::-1]
-    forward, backward = [], []
-    for y in bits(rest):
-        ap = anchored_path(g, path, y)
-        if len(ap.anchors) < 2:
-            continue
-        mirrored = tuple([last - i for i in reversed(ap.anchors)])
-        forward.append((False, ap))
-        backward.append((True, AnchoredPath(rev, y, mirrored, ap.rho)))
-    views = forward + backward
+    Views are tried forward first, outside vertices ascending, then
+    reversed in the same order; the reversed view mirrors the forward one
+    (anchor i becomes last - i, rho is unchanged).  A view is built when
+    the first rule reaches it and kept for the later rules, so a move
+    found early builds few views.  Outside vertices with fewer than two
+    path neighbours get no view, and a rule is not run on a path shorter
+    than its ``min_order``: neither can match.  rho after a move is that
+    of the one remaining outside vertex, or 0 when none or several
+    remain."""
+    n_path = len(path)
+    last = n_path - 1
+    adj = g.adj
+    path_mask = mask_of(path)
+    rest = g.full_mask() & ~path_mask
+    outside = [y for y in bits(rest) if (adj[y] & path_mask).bit_count() >= 2]
+    n_forward = len(outside)
+    views: list[AnchoredPath] = []
+
+    def view(i: int) -> AnchoredPath:
+        if i == len(views):
+            if i < n_forward:
+                views.append(anchored_path(g, path, outside[i]))
+            else:
+                ap = views[i - n_forward]
+                mirrored = tuple([last - a for a in reversed(ap.anchors)])
+                views.append(AnchoredPath(path[::-1], ap.outside, mirrored, ap.rho))
+        return views[i]
+
     single = rest.bit_count() == 1
     for rule in RULE_CATALOG:
+        if n_path < rule.min_order:
+            continue
         rotation = rule.kind == "raises-rho"
         if rotation and not single:
             continue
-        for reversed_base, ap in views:
+        for i in range(2 * n_forward):
+            ap = view(i)
             seq = apply_rule(g, ap, rule)
             if seq is None:
                 continue
-            new_path = seq[::-1] if reversed_base else seq
-            new_ap = anchor(g, new_path)
-            new_rho = new_ap.rho if new_ap else 0
+            new_path = seq[::-1] if i >= n_forward else seq
+            new_rho = anchor(g, new_path).rho if g.n - len(new_path) == 1 else 0
             if not rotation or new_rho > ap.rho:
                 return rule.id, new_path, ap.rho, new_rho
     return None
@@ -734,14 +776,18 @@ def improve(g: Graph, u: int, v: int, k: int | None = None) -> EngineResult:
     rotations, so the pair (length, rho) strictly increases and the loop
     terminates.  On a stall the result carries the best certificate
     found: a join-partition witness, a sparse (k+1)-set, or none.
+    Raises ValueError on bad endpoints or k < 1, and NoPathError (a
+    ValueError) when u and v are not connected.
     """
     if u == v:
         raise ValueError("endpoints must differ")
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise ValueError("endpoints out of range")
+    if k is not None and k < 1:
+        raise ValueError("k must be at least 1")
     path = _seed_path(g, u, v)
     if path is None:
-        raise ValueError(f"no ({u},{v})-path exists")
+        raise NoPathError(f"no ({u},{v})-path exists")
     trace: list[MoveRecord] = []
     while len(path) < g.n:
         move = _find_move(g, path)
@@ -759,12 +805,11 @@ def improve(g: Graph, u: int, v: int, k: int | None = None) -> EngineResult:
 
 def engine_with_fallback(g: Graph, u: int, v: int) -> tuple[int, ...] | None:
     """Rule engine first, exact backtracking second; agrees with the
-    exact search on existence."""
-    if u == v:
-        raise ValueError("endpoints must differ")
+    exact search on existence.  None when no Hamilton (u,v)-path exists,
+    including when no (u,v)-path does; bad endpoints raise ValueError."""
     try:
         res = improve(g, u, v)
-    except ValueError:
+    except NoPathError:
         return None
     if res.outcome == "hamilton-path":
         return res.path

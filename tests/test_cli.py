@@ -158,6 +158,13 @@ def test_find_path_failure_certificate(capsys):
     assert "no hamilton path exists" in out
 
 
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_find_path_rejects_k_below_one(k):
+    with pytest.raises(SystemExit) as exc:
+        main(["find-path", "Cl", "--u", "0", "--v", "2", "--k", k])
+    assert exc.value.code == "error: k must be at least 1"
+
+
 # full stdout of find-path, pinned: a speed-up must leave it byte-identical
 FIND_PATH_TRANSCRIPTS = [
     (

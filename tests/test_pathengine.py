@@ -1,13 +1,25 @@
 import hashlib
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
-from stgraphs.graphcore import Graph, complete_graph, cycle_graph, petersen_graph, to_graph6
+from stgraphs.graphcore import (
+    Graph,
+    bits,
+    complete_graph,
+    cycle_graph,
+    mask_of,
+    petersen_graph,
+    to_graph6,
+)
 from stgraphs.pathengine import (
     RULE_CATALOG,
     RULES_BY_ID,
+    AnchoredPath,
+    NoPathError,
+    _find_move,
     _seed_path,
     anchor,
     anchored_path,
@@ -279,9 +291,26 @@ def test_improve_c6_stalls_with_sparse_set():
 
 def test_improve_rejects_disconnected_pair():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
-    with pytest.raises(ValueError):
+    with pytest.raises(NoPathError):
         improve(g, 0, 3)
     assert engine_with_fallback(g, 0, 3) is None
+
+
+@pytest.mark.parametrize("u, v", [(0, 99), (99, 0), (-1, 2), (2, 2)])
+def test_engine_rejects_bad_endpoints(u, v):
+    # a bad endpoint is an error, not "no Hamilton path", as in the exact search
+    c5 = cycle_graph(5)
+    for search in (hamilton_uv_path, improve, engine_with_fallback):
+        with pytest.raises(ValueError) as exc:
+            search(c5, u, v)
+        assert not isinstance(exc.value, NoPathError)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_improve_rejects_k_below_one(k):
+    # no sparse set of k + 1 <= 1 vertices can certify a stall
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        improve(cycle_graph(4), 0, 2, k=k)
 
 
 def test_improve_trace_measure_increases():
@@ -428,25 +457,92 @@ def _walk_paths(g, rng):
             yield tuple(path)
 
 
-def test_rules_never_match_fewer_than_two_anchors():
-    # every matcher pairs two anchors, so the engine may skip such views
-    rng = random.Random(83)
-    one_anchor_with_others = 0  # the views where E2 sees a second outside vertex
+def _walk_views(seed):
+    """(g, view) for every outside vertex of every walk path, forward and
+    reversed, of every connected graph with n <= 6."""
+    rng = random.Random(seed)
     for n in range(2, 7):
         for g in enumerate_connected(n):
             for path in _walk_paths(g, rng):
                 for y in range(n):
-                    if y in path:
-                        continue
-                    for base in (path, path[::-1]):
-                        ap = anchored_path(g, base, y)
-                        if len(ap.anchors) >= 2:
-                            continue
-                        if ap.anchors and len(path) <= n - 2:
-                            one_anchor_with_others += 1
-                        for rule in RULE_CATALOG:
-                            assert rule.matcher(g, ap) is None, (rule.id, g.adj, base, y)
+                    if y not in path:
+                        for base in (path, path[::-1]):
+                            yield g, anchored_path(g, base, y)
+
+
+def test_rules_never_match_fewer_than_two_anchors():
+    # every matcher pairs two anchors, so the engine may skip such views
+    one_anchor_with_others = 0  # the views where E2 sees a second outside vertex
+    for g, ap in _walk_views(83):
+        if len(ap.anchors) >= 2:
+            continue
+        if ap.anchors and len(ap.path) <= g.n - 2:
+            one_anchor_with_others += 1
+        for rule in RULE_CATALOG:
+            assert rule.matcher(g, ap) is None, (rule.id, g.adj, ap.path, ap.outside)
     assert one_anchor_with_others > 1000
+
+
+def test_rules_never_match_below_min_order():
+    # the engine skips a rule on paths shorter than its min_order; each
+    # minimum is also reached, so none is set higher than the matcher needs
+    shortest = {}
+    for g, ap in _walk_views(83):
+        for rule in RULE_CATALOG:
+            if rule.matcher(g, ap) is None:
+                continue
+            order = len(ap.path)
+            assert order >= rule.min_order, (rule.id, g.adj, ap.path, ap.outside)
+            shortest[rule.id] = min(shortest.get(rule.id, order), order)
+    assert shortest == {rule.id: rule.min_order for rule in RULE_CATALOG}
+
+
+def _reference_find_move(g, path):
+    """_find_move as it was before views were built on demand: every view
+    built up front, every rule run on every view."""
+    last = len(path) - 1
+    rest = g.full_mask() & ~mask_of(path)
+    rev = path[::-1]
+    forward, backward = [], []
+    for y in bits(rest):
+        ap = anchored_path(g, path, y)
+        if len(ap.anchors) < 2:
+            continue
+        mirrored = tuple([last - i for i in reversed(ap.anchors)])
+        forward.append((False, ap))
+        backward.append((True, AnchoredPath(rev, y, mirrored, ap.rho)))
+    views = forward + backward
+    single = rest.bit_count() == 1
+    for rule in RULE_CATALOG:
+        rotation = rule.kind == "raises-rho"
+        if rotation and not single:
+            continue
+        for reversed_base, ap in views:
+            seq = apply_rule(g, ap, rule)
+            if seq is None:
+                continue
+            new_path = seq[::-1] if reversed_base else seq
+            new_ap = anchor(g, new_path)
+            new_rho = new_ap.rho if new_ap else 0
+            if not rotation or new_rho > ap.rho:
+                return rule.id, new_path, ap.rho, new_rho
+    return None
+
+
+def test_find_move_matches_eager_reference():
+    rng = random.Random(97)
+    moves, outside_counts = Counter(), Counter()
+    for n in range(3, 8):
+        for g in enumerate_connected(n):
+            for path in _walk_paths(g, rng):
+                if len(path) == n:
+                    continue
+                want = _reference_find_move(g, path)
+                assert _find_move(g, path) == want, (g.adj, path)
+                moves[want[0] if want else None] += 1
+                outside_counts[n - len(path)] += 1
+    assert moves["R1"] > 0 and moves[None] > 0, moves  # rotations and stalls
+    assert all(outside_counts[m] > 1000 for m in range(1, 6)), outside_counts
 
 
 def _reference_seed_path(g, u, v):
