@@ -22,6 +22,15 @@ def _load_graph(text: str) -> graphcore.Graph:
 
 
 def _cmd_check(args) -> int:
+    # every argument is checked before the first line of the report
+    if args.k is not None and args.k < 1:
+        raise ValueError("k must be at least 1")
+    if args.s is not None and args.s < 1:
+        raise ValueError("s must be at least 1")
+    if args.t is not None and args.t < 0:
+        raise ValueError("t must be nonnegative")
+    if args.t is not None and args.s is None:
+        raise ValueError("--t needs --s")
     g = _load_graph(args.graph6)
     print(f"graph6: {graphcore.to_graph6(g)}")
     print(f"order: {g.n}")

@@ -251,7 +251,10 @@ def subset_connected(adj, sub_mask: int) -> bool:
 # Iterative degree-refinement partitioning with backtracking over the
 # first non-singleton cell.  The emitted label is the lexicographically
 # smallest column-major upper-triangle bit string over all orderings the
-# search reaches, which is invariant under relabeling.
+# search reaches, which is invariant under relabeling.  A partition is an
+# ordered list of cells, each a vertex mask; its members in ascending
+# order are bits(cell), and the cell is a singleton iff cell & (cell - 1)
+# is 0.
 #
 # Splitter refinement.  A round splits every cell by its vertices' counts
 # of neighbors in the cells of the current partition and orders the
@@ -265,6 +268,19 @@ def subset_connected(adj, sub_mask: int) -> bool:
 # last (the degree fixes the rest), and a search child, individualizing v
 # in an equitable partition, needs only {v}.  The groups and their order
 # are those of counting into every cell.
+#
+# Counter planes.  The counts into a splitter S are kept bit-sliced: the
+# rows adj[u], u in S, are added as a ripple-carry sum into planes P0
+# (the low bit), P1, ..., so that bit v of Pi is bit i of |adj[v] & S|
+# (adjacency is symmetric).  A one-vertex splitter {v} is the one plane
+# adj[v].  A cell is split plane by plane, the splitters in order and
+# each splitter's planes from the high bit to the low one, every part q
+# becoming q & ~P followed by q & P, empty parts dropped.  That orders
+# the subcells as the count vectors sort ascending, since every count
+# into one splitter has the same number of planes.  A plane P that does
+# not cut the cell (c & P is 0 or c) cuts none of its parts either and
+# is passed over, so a cell that does not split costs no work per
+# vertex.
 #
 # Automorphism pruning.  Two leaves with equal codes give the same
 # relabeled graph, so best_order[i] -> order[i] is an automorphism; the
@@ -281,61 +297,79 @@ def subset_connected(adj, sub_mask: int) -> bool:
 # transpositions of every uniform-module leaf.
 
 
-def _refine_split(adj, cells, masks, splitters):
-    """Equitable refinement of the ordered partition cells, with their
-    masks, counting neighbors into the splitter masks only (see above);
-    subcells are ordered by count signature.  Returns the refined cells
-    and their masks."""
+def _refine_split(adj, cells, splitters):
+    """Equitable refinement of the ordered partition cells (vertex masks),
+    counting neighbors into the splitter masks only, through their counter
+    planes (see above); subcells are ordered by count signature.  Returns
+    the refined cell masks."""
     while splitters:
-        out_cells: list[list[int]] = []
-        out_masks: list[int] = []
+        planes: list[int] = []
+        for s in splitters:
+            if not s & (s - 1):
+                planes.append(adj[s.bit_length() - 1])
+                continue
+            sp: list[int] = []
+            while s:
+                b = s & -s
+                s ^= b
+                carry = adj[b.bit_length() - 1]
+                i = 0
+                while carry:
+                    if i == len(sp):
+                        sp.append(carry)
+                        break
+                    p = sp[i]
+                    sp[i] = p ^ carry
+                    carry &= p
+                    i += 1
+            sp.reverse()
+            planes += sp
+        out: list[int] = []
         nxt: list[int] = []
-        for cell, cmask in zip(cells, masks):
-            if len(cell) == 1:
-                out_cells.append(cell)
-                out_masks.append(cmask)
-                continue
-            groups: dict[tuple, list[int]] = {}
-            for v in cell:
-                av = adj[v]
-                key = tuple([(av & s).bit_count() for s in splitters])
-                groups.setdefault(key, []).append(v)
-            if len(groups) == 1:
-                out_cells.append(cell)
-                out_masks.append(cmask)
-                continue
-            for key in sorted(groups):
-                sub = groups[key]
-                out_cells.append(sub)
-                out_masks.append(mask_of(sub))
-            nxt.extend(out_masks[len(out_masks) - len(groups):-1])
-        cells, masks, splitters = out_cells, out_masks, nxt
-    return cells, masks
+        for c in cells:
+            if c & (c - 1):
+                parts = [c]
+                for p in planes:
+                    cp = c & p
+                    if cp and cp != c:
+                        new = []
+                        for q in parts:
+                            a = q & p
+                            if a and a != q:
+                                new.append(q ^ a)
+                            new.append(a or q)
+                        parts = new
+                if len(parts) > 1:
+                    nxt += parts[:-1]
+                out += parts
+            else:
+                out.append(c)
+        cells, splitters = out, nxt
+    return cells
 
 
 def _degree_cells(adj, degs):
-    """Cells of equal degree in ascending degree order, with their masks."""
-    by_deg: dict[int, list[int]] = {}
+    """Masks of the cells of equal degree, in ascending degree order."""
+    by_deg: dict[int, int] = {}
     for v, d in enumerate(degs):
-        by_deg.setdefault(d, []).append(v)
-    cells = [by_deg[d] for d in sorted(by_deg)]
-    return cells, [mask_of(c) for c in cells]
+        by_deg[d] = by_deg.get(d, 0) | 1 << v
+    return [by_deg[d] for d in sorted(by_deg)]
 
 
-def _uniform_modules(adj, cells, masks) -> bool:
+def _uniform_modules(adj, cells) -> bool:
     """True when every cell is a clique or independent set and every cell
     pair is completely joined or completely non-adjacent; then any
-    cell-respecting order yields the same adjacency string."""
-    sizes = [len(c) for c in cells]
-    for i, cell in enumerate(cells):
-        v = cell[0]
-        if sizes[i] > 1:
-            d = (adj[v] & masks[i]).bit_count()
-            if d != 0 and d != sizes[i] - 1:
-                return False
-        for j in range(i + 1, len(cells)):
-            d = (adj[v] & masks[j]).bit_count()
-            if d != 0 and d != sizes[j]:
+    cell-respecting order yields the same adjacency string.  The cells
+    must be equitable, so one vertex of each speaks for its cell."""
+    for i, c in enumerate(cells):
+        low = c & -c
+        av = adj[low.bit_length() - 1]
+        inner = av & c
+        if inner and inner != c ^ low:
+            return False
+        for d in cells[i + 1:]:
+            x = av & d
+            if x and x != d:
                 return False
     return True
 
@@ -361,22 +395,23 @@ def _orbit_closure(mask: int, gens) -> int:
     return mask
 
 
-def _canonical_search(n: int, adj, seed_cells=None, gens=None):
+def _canonical_search(n: int, adj, start=None, gens=None):
     """Minimum column-major adjacency code and a vertex order achieving it.
 
-    Branches on the first non-singleton cell of each refined partition and
-    skips a target vertex lying in the orbit of the tried ones under the
-    recorded automorphisms that fix every cell of that partition.  When
-    gens is a list, the within-cell transpositions of every uniform-module
-    leaf and then the recorded automorphisms are appended to it."""
+    The search starts from the degree partition, or from start, a pair
+    (cell masks, splitter masks) that refines to the same partition as
+    the degree partition does, or that seeds the search with marked
+    cells.  It branches on the first non-singleton cell of each refined
+    partition and skips a target vertex lying in the orbit of the tried
+    ones under the recorded automorphisms that fix every cell of that
+    partition.  When gens is a list, the within-cell transpositions of
+    every uniform-module leaf and then the recorded automorphisms are
+    appended to it."""
     if n == 0:
         return 0, ()
-    if seed_cells is None:
-        cells0, masks0 = _degree_cells(adj, [row.bit_count() for row in adj])
-        splitters0 = masks0[:-1]
-    else:
-        cells0 = [list(c) for c in seed_cells if c]
-        masks0 = splitters0 = [mask_of(c) for c in cells0]
+    if start is None:
+        cells0 = _degree_cells(adj, [row.bit_count() for row in adj])
+        start = cells0, cells0[:-1]
     width = n * (n - 1) // 2
     best_code = None
     best_order: tuple[int, ...] = ()
@@ -392,29 +427,28 @@ def _canonical_search(n: int, adj, seed_cells=None, gens=None):
                 g[a] = b
             autos.append(g)
 
-    def dfs(cells, masks, splitters):
-        cells, masks = _refine_split(adj, cells, masks, splitters)
+    def dfs(cells, splitters):
+        cells = _refine_split(adj, cells, splitters)
         order: list[int] = []
         code = 0
         k = 0
-        for cell in cells:
-            if len(cell) > 1:
+        for c in cells:
+            if c & (c - 1):
                 break
-            v = cell[0]
-            code = (code << len(order)) | _column_bits(adj, order, v)
+            v = c.bit_length() - 1
+            code = (code << k) | _column_bits(adj, order, v)
             order.append(v)
             k += 1
-        m = len(order)
-        if best_code is not None and m >= 2:
-            t = m * (m - 1) // 2
+        if best_code is not None and k >= 2:
+            t = k * (k - 1) // 2
             if code > (best_code >> (width - t)):
                 return
-        if m == n:
+        if k == n:
             leaf(code, order)
             return
-        rest = cells[k:]
-        if _uniform_modules(adj, cells, masks):
-            for cell in rest:
+        if _uniform_modules(adj, cells):
+            for c in cells[k:]:
+                cell = list(bits(c))
                 for v in cell:
                     code = (code << len(order)) | _column_bits(adj, order, v)
                     order.append(v)
@@ -425,21 +459,19 @@ def _canonical_search(n: int, adj, seed_cells=None, gens=None):
                         gens.append(g)
             leaf(code, order)
             return
-        target = rest[0]
-        tmask = masks[k]
-        head, hmasks = cells[:k], masks[:k]
-        tail, tmasks = rest[1:], masks[k + 1:]
+        target = cells[k]
+        head, tail = cells[:k], cells[k + 1:]
         cell_of = None
         fixing: list[list[int]] = []
         checked = 0
         tried = 0
-        for v in target:
+        for v in bits(target):
             if tried:
                 if checked < len(autos):
                     if cell_of is None:
                         cell_of = [0] * n
-                        for i, cell in enumerate(cells):
-                            for u in cell:
+                        for i, c in enumerate(cells):
+                            for u in bits(c):
                                 cell_of[u] = i
                     for g in autos[checked:]:
                         if [cell_of[x] for x in g] == cell_of:
@@ -450,14 +482,10 @@ def _canonical_search(n: int, adj, seed_cells=None, gens=None):
                     if (tried >> v) & 1:
                         continue
             bit = 1 << v
-            dfs(
-                head + [[v], [w for w in target if w != v]] + tail,
-                hmasks + [bit, tmask ^ bit] + tmasks,
-                [bit],
-            )
+            dfs(head + [bit, target ^ bit] + tail, [bit])
             tried |= bit
 
-    dfs(cells0, masks0, splitters0)
+    dfs(*start)
     if gens is not None:
         gens.extend(autos)
     return best_code, best_order
@@ -496,8 +524,9 @@ def canonical_graph6(g: Graph) -> str:
 def marked_label(g: Graph, v: int) -> bytes:
     """Canonical label of g with vertex v individualized; equal labels iff
     some automorphism maps one marked vertex to the other."""
-    rest = [w for w in range(g.n) if w != v]
-    code, _ = _canonical_search(g.n, g.adj, seed_cells=[[v], rest])
+    bit = 1 << v
+    cells = [bit, g.full_mask() ^ bit] if g.n > 1 else [bit]
+    code, _ = _canonical_search(g.n, g.adj, (cells, cells))
     width = g.n * (g.n - 1) // 2
     return bytes([g.n]) + code.to_bytes((width + 7) // 8, "big")
 

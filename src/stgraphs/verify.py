@@ -20,9 +20,12 @@ from typing import Callable
 from .graphcore import (
     Graph,
     Graph6Error,
+    _canonical_search,
     _degree_cells,
+    _graph6_of_code,
     _refine_split,
     automorphism_generators,
+    bits,
     canonical_graph6,
     canonical_label,
     component_masks,
@@ -58,7 +61,8 @@ def _parent_cuts(parent: Graph):
 
 def _canonical_augmentation(parent: Graph, degs, comps, smask: int):
     """The child of parent with a new vertex z = parent.n joined to the
-    vertices of smask if canonical augmentation accepts it, else None.
+    vertices of smask, with the start of its canonical search (see
+    _canonical_search), if canonical augmentation accepts it, else None.
 
     The child is accepted iff z is a canonical choice among deletable
     vertices.  Deletable means non-cut; z always is, because the parent
@@ -71,44 +75,55 @@ def _canonical_augmentation(parent: Graph, degs, comps, smask: int):
     sorted by degree, so a vertex of smaller degree always has a smaller
     cell index.  Hence, with d = deg(z): a deletable vertex of degree
     < d rejects the child outright, vertices of degree > d never matter,
-    and refinement is needed only when another deletable vertex has
-    degree d.  This decides the same acceptance as comparing cell
-    indices over all deletable vertices.
+    and refinement is needed only when another deletable vertex (a
+    rival) has degree d.  This decides the same acceptance as comparing
+    cell indices over all deletable vertices.  A rival in a cell before
+    z's rejects the child, and one in z's cell is compared by marked
+    label.
 
     Degrees and cuts come from the parent (see _parent_cuts): for v in
     the parent, child - v is connected iff smask - v meets every
     component of parent - v, and child - v is {z} when the parent is
     {v}.  The child is built only when no deletable vertex of smaller
     degree rejects it.
+
+    The start returned is None (the search starts from the degree
+    partition) when there were no rivals, and otherwise the refined
+    partition with no splitters.  That is the partition the search's
+    root refines to either way, so the search gives the same code
+    without repeating the refinement.
     """
     m = parent.n
     d = smask.bit_count()
-    rivals = []
+    rivals = 0
     for v in range(m):
         dv = degs[v] + ((smask >> v) & 1)
         if dv <= d and all(c & smask for c in comps[v]):
             if dv < d:
                 return None
-            rivals.append(v)
+            rivals |= 1 << v
     rows = [parent.adj[v] | (((smask >> v) & 1) << m) for v in range(m)]
     rows.append(smask)
     child = Graph._from_rows(m + 1, rows)
     if not rivals:
-        return child
-    cells, masks = _degree_cells(rows, [row.bit_count() for row in rows])
-    cells, _ = _refine_split(rows, cells, masks, masks[:-1])
-    cell_of = {}
-    for idx, cell in enumerate(cells):
-        for v in cell:
-            cell_of[v] = idx
-    cz = cell_of[m]
-    if any(cell_of[v] < cz for v in rivals):
+        return child, None
+    cells = _degree_cells(rows, [row.bit_count() for row in rows])
+    cells = _refine_split(rows, cells, cells[:-1])
+    before = 0
+    for cz in cells:
+        if (cz >> m) & 1:
+            break
+        before |= cz
+    if rivals & before:
         return None
-    rivals = [v for v in rivals if cell_of[v] == cz]
+    start = cells, []
+    rivals &= cz
     if not rivals:
-        return child
+        return child, start
     lz = marked_label(child, m)
-    return child if all(marked_label(child, v) >= lz for v in rivals) else None
+    if all(marked_label(child, v) >= lz for v in bits(rivals)):
+        return child, start
+    return None
 
 
 def _mask_tables(perm):
@@ -147,7 +162,11 @@ def _grow_level(parents: tuple[str, ...]) -> tuple[str, ...]:
     Attachment masks are tried in ascending order, one per orbit of the
     parent's automorphism group: a mask g(S) with g an automorphism gives
     a child isomorphic to S's with z fixed, so the same acceptance and
-    the same label."""
+    the same label.  Each accepted child is labeled by one canonical
+    search from the partition its acceptance test refined, and its
+    graph6 is written from the code.  The label cache is bypassed: every
+    accepted child is a new class, so a cached label would never be
+    looked up again."""
     out: list[str] = []
     for parent_g6 in parents:
         parent = from_graph6(parent_g6)
@@ -159,9 +178,11 @@ def _grow_level(parents: tuple[str, ...]) -> tuple[str, ...]:
             if seen[smask]:
                 continue
             _mark_orbit(seen, smask, tables)
-            child = _canonical_augmentation(parent, degs, comps, smask)
-            if child is not None:
-                children.add(canonical_graph6(child))
+            accepted = _canonical_augmentation(parent, degs, comps, smask)
+            if accepted is not None:
+                child, start = accepted
+                code, _ = _canonical_search(child.n, child.adj, start)
+                children.add(_graph6_of_code(child.n, code))
         # the children share one order, so graph6 text sorts as the label does
         out.extend(sorted(children))
     return tuple(out)

@@ -41,6 +41,23 @@ def test_check_rejects_malformed(capsys):
     assert code != 0
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--k", "0"], "k must be at least 1"),
+        (["--k", "-1"], "k must be at least 1"),
+        (["--s", "0"], "s must be at least 1"),
+        (["--s", "3", "--t", "-1"], "t must be nonnegative"),
+        (["--t", "2"], "--t needs --s"),
+    ],
+)
+def test_check_rejects_bad_parameters_before_reporting(capsys, extra, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "C~", *extra])
+    assert exc.value.code == f"error: {message}"
+    assert capsys.readouterr().out == ""
+
+
 def test_verify_main_exit_zero(capsys):
     code, out = run_cli(capsys, "verify", "main", "--k", "2", "--nmax", "5")
     assert code == 0

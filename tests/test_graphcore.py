@@ -336,20 +336,79 @@ def test_splitter_refinement_matches_all_cells_rounds():
         ordered = [order[a:b] for a, b in zip([0] + cuts, cuts + [g.n])]
         for cells in ([list(range(g.n))], ordered):
             masks = [graphcore.mask_of(c) for c in cells]
-            got = graphcore._refine_split(adj, cells, masks, masks)
-            assert got[0] == reference_refine(adj, cells)
-            assert got[1] == [graphcore.mask_of(c) for c in got[0]]
-        cells, masks = graphcore._degree_cells(adj, [row.bit_count() for row in adj])
+            got = graphcore._refine_split(adj, masks, masks)
+            assert got == [graphcore.mask_of(c) for c in reference_refine(adj, cells)]
+        masks = graphcore._degree_cells(adj, [row.bit_count() for row in adj])
+        cells = [list(bits(m)) for m in masks]
         want = reference_refine(adj, cells)
-        assert graphcore._refine_split(adj, cells, masks, masks[:-1])[0] == want
+        got = graphcore._refine_split(adj, masks, masks[:-1])
+        assert got == [graphcore.mask_of(c) for c in want]
         target = next((c for c in want if len(c) > 1), None)
         if target is not None:
             i = want.index(target)
             for v in target:
                 child = want[:i] + [[v], [w for w in target if w != v]] + want[i + 1:]
                 masks = [graphcore.mask_of(c) for c in child]
-                got, _ = graphcore._refine_split(adj, child, masks, [1 << v])
-                assert got == reference_refine(adj, child)
+                got = graphcore._refine_split(adj, masks, [1 << v])
+                assert got == [graphcore.mask_of(c) for c in reference_refine(adj, child)]
+
+
+def reference_split_rounds(adj, cells, splitters):
+    """The splitter rounds by their definition: every cell of masks
+    grouped by its vertices' tuples of neighbor counts into the splitters,
+    groups in ascending tuple order, and the next splitters the new
+    subcells but the last of each split."""
+    while splitters:
+        out, nxt = [], []
+        for c in cells:
+            groups = {}
+            for v in bits(c):
+                key = tuple((adj[v] & s).bit_count() for s in splitters)
+                groups[key] = groups.get(key, 0) | 1 << v
+            parts = [groups[key] for key in sorted(groups)]
+            nxt += parts[:-1]
+            out += parts
+        cells, splitters = out, nxt
+    return cells
+
+
+def test_bit_sliced_counts_match_count_tuples():
+    # random ordered cells and random splitters, so the counts run up to
+    # 15 (K16) and 8 (K8,8): four counter planes and carries through them
+    rng = random.Random(2016)
+    k88 = join(empty_graph(8), empty_graph(8))
+    graphs = [complete_graph(16), k88, relabeled(k88, rng), hypercube(4)]
+    graphs += [random_graph(rng, rng.randint(1, 20), rng.random()) for _ in range(400)]
+    top = 0
+    for g in graphs:
+        adj = g.adj
+        for trial in range(5):
+            order = list(range(g.n))
+            rng.shuffle(order)
+            cuts = sorted(rng.sample(range(1, g.n), rng.randint(0, g.n - 1)))
+            cells = [graphcore.mask_of(order[a:b]) for a, b in zip([0] + cuts, cuts + [g.n])]
+            splitters = [
+                graphcore.mask_of(rng.sample(range(g.n), rng.randint(1, g.n)))
+                for _ in range(rng.randint(1, 4))
+            ]
+            if trial == 0:
+                splitters.insert(0, g.full_mask())
+            got = graphcore._refine_split(adj, cells, splitters)
+            assert got == reference_split_rounds(adj, cells, splitters)
+            top = max(top, max((adj[v] & s).bit_count() for v in range(g.n) for s in splitters))
+    assert top >= 15
+
+
+def test_search_from_refined_degree_partition_matches_default_start():
+    # the start generation hands over: the equitable partition, no splitters
+    rng = random.Random(1998)
+    for n in range(1, 8):
+        for g in enumerate_connected(n):
+            r = relabeled(g, rng)
+            masks = graphcore._degree_cells(r.adj, [row.bit_count() for row in r.adj])
+            start = graphcore._refine_split(r.adj, masks, masks[:-1]), []
+            want = graphcore._canonical_search(r.n, r.adj)
+            assert graphcore._canonical_search(r.n, r.adj, start) == want
 
 
 def _reference_search(n, adj, seed_cells=None):
@@ -392,8 +451,7 @@ def _reference_search(n, adj, seed_cells=None):
                 best_code, best_order = code, tuple(order)
             return
         rest = cells[k:]
-        masks = [graphcore.mask_of(c) for c in cells]
-        if graphcore._uniform_modules(adj, cells, masks):
+        if graphcore._uniform_modules(adj, [graphcore.mask_of(c) for c in cells]):
             for cell in rest:
                 for v in cell:
                     code = (code << len(order)) | graphcore._column_bits(adj, order, v)
@@ -425,7 +483,11 @@ def test_canonical_search_matches_unpruned_reference():
     for g in graphs:
         seeds = [None] + [[[v], [w for w in range(g.n) if w != v]] for v in range(g.n)]
         for seed in seeds:
-            code, order = graphcore._canonical_search(g.n, g.adj, seed)
+            start = None
+            if seed is not None:
+                masks = [graphcore.mask_of(c) for c in seed if c]
+                start = masks, masks
+            code, order = graphcore._canonical_search(g.n, g.adj, start)
             ref_code, ref_order = _reference_search(g.n, g.adj, seed)
             assert code == ref_code
             assert sorted(order) == list(range(g.n))
@@ -441,9 +503,9 @@ def test_canonical_search_size_is_pruned(monkeypatch, g, cap):
     calls = []
     refine = graphcore._refine_split
 
-    def counting(*args):
+    def counting(adj, cells, splitters):
         calls.append(1)
-        return refine(*args)
+        return refine(adj, cells, splitters)
 
     monkeypatch.setattr(graphcore, "_refine_split", counting)
     rng = random.Random(32)

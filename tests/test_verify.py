@@ -8,8 +8,11 @@ import pytest
 from stgraphs.graphcore import (
     Graph,
     Graph6Error,
+    _canon_cached,
+    _degree_cells,
     _refine_split,
     automorphism_generators,
+    bits,
     canonical_form,
     canonical_label,
     complete_graph,
@@ -33,6 +36,7 @@ from stgraphs.predicates import (
 from stgraphs.verify import (
     TheoremReport,
     _canonical_augmentation,
+    _grow_level,
     _judge_edge_bound,
     _connected_level,
     _mark_orbit,
@@ -40,6 +44,7 @@ from stgraphs.verify import (
     _parent_cuts,
     _worker_count,
     brute_force_connected,
+    connected_graph6,
     enumerate_connected,
     min_size_search,
     read_graph6_lines,
@@ -81,6 +86,11 @@ def test_enumerate_connected_range_errors():
         list(enumerate_connected(11))
 
 
+def refined_degree_cells(g):
+    masks = _degree_cells(g.adj, [g.degree(v) for v in range(g.n)])
+    return _refine_split(g.adj, masks, masks)
+
+
 def reference_augmentation(child):
     """The acceptance rule by its definition: over all non-cut vertices,
     minimize the refined cell index, then the vertex-marked label."""
@@ -91,10 +101,9 @@ def reference_augmentation(child):
     by_deg = {}
     for v in range(n):
         by_deg.setdefault(child.degree(v), []).append(v)
-    cells = [by_deg[d] for d in sorted(by_deg)]
-    masks = [mask_of(c) for c in cells]
-    cells, _ = _refine_split(child.adj, cells, masks, masks)
-    cell_of = {v: i for i, cell in enumerate(cells) for v in cell}
+    masks = [mask_of(by_deg[d]) for d in sorted(by_deg)]
+    cells = _refine_split(child.adj, masks, masks)
+    cell_of = {v: i for i, cell in enumerate(cells) for v in bits(cell)}
     cmin = min(cell_of[v] for v in deletable)
     if cell_of[z] != cmin:
         return False
@@ -114,10 +123,24 @@ def test_augmentation_matches_reference_definition():
                 child = Graph(m + 1, rows + [smask])
                 got = _canonical_augmentation(parent, degs, comps, smask)
                 assert (got is not None) == reference_augmentation(child), to_graph6(child)
-                assert got is None or got == child
+                if got is not None:
+                    assert got[0] == child
+                    start = got[1]
+                    if start is not None:
+                        # the refined degree partition, no splitters left
+                        assert start == (refined_degree_cells(child), [])
                 children += 1
                 accepted += got is not None
     assert children == 7815 and 0 < accepted < children
+
+
+def test_grow_level_bypasses_label_cache():
+    # each accepted child is labeled once, straight from its acceptance
+    # partition; the label cache would only ever miss
+    parents = connected_graph6(6)
+    before = _canon_cached.cache_info()
+    assert _grow_level(parents) == connected_graph6(7)
+    assert _canon_cached.cache_info() == before
 
 
 def permute_mask_by_bits(perm, mask):
