@@ -69,12 +69,16 @@ DEFAULT_NMAX = 8
 
 def _cmd_verify(args) -> int:
     spec = verify.THEOREMS[args.theorem]
+    if spec.k_min is None and args.k is not None:
+        raise SystemExit(f"error: verify {args.theorem} takes no --k")
     graphs = None
     if args.input is not None:
         if args.input == "-":
             graphs = verify.read_graph6_lines(sys.stdin)
         else:
-            with open(args.input, "r", encoding="ascii") as fh:
+            # graph6 is ASCII; any other character, or an undecodable
+            # byte read as U+FFFD, is rejected with its line number
+            with open(args.input, "r", encoding="utf-8", errors="replace") as fh:
                 graphs = verify.read_graph6_lines(fh)
     nmax = args.nmax if args.nmax is not None else DEFAULT_NMAX
     run = getattr(verify, spec.entry)

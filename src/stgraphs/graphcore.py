@@ -491,21 +491,16 @@ def _canonical_search(n: int, adj, start=None, gens=None):
     return best_code, best_order
 
 
-@lru_cache(maxsize=1 << 16)
-def _canon_cached(n: int, adj):
-    return _canonical_search(n, adj)
-
-
 def canonical_label(g: Graph) -> bytes:
     """Label equal for two graphs iff they are isomorphic."""
-    code, _ = _canon_cached(g.n, g.adj)
+    code, _ = _canonical_search(g.n, g.adj)
     width = g.n * (g.n - 1) // 2
     return bytes([g.n]) + code.to_bytes((width + 7) // 8, "big")
 
 
 def canonical_form(g: Graph) -> Graph:
     """The canonically relabeled copy of g; equal for isomorphic inputs."""
-    _, order = _canon_cached(g.n, g.adj)
+    _, order = _canonical_search(g.n, g.adj)
     pos = {v: i for i, v in enumerate(order)}
     rows = [0] * g.n
     for i, v in enumerate(order):
@@ -517,7 +512,7 @@ def canonical_form(g: Graph) -> Graph:
 def canonical_graph6(g: Graph) -> str:
     """to_graph6(canonical_form(g)), written straight from the canonical
     code: its column-major upper triangle is graph6's own bit order."""
-    code, _ = _canon_cached(g.n, g.adj)
+    code, _ = _canonical_search(g.n, g.adj)
     return _graph6_of_code(g.n, code)
 
 
@@ -534,8 +529,7 @@ def marked_label(g: Graph, v: int) -> bytes:
 def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
     """Automorphisms of g found by the canonical search, each as the image
     tuple of 0..n-1: one per leaf tying the best code, plus the
-    within-cell transpositions of every uniform-module leaf.  Computed
-    afresh on each call; the label cache keeps no generators."""
+    within-cell transpositions of every uniform-module leaf."""
     gens: list[list[int]] = []
     _canonical_search(g.n, g.adj, gens=gens)
     return [tuple(p) for p in gens]

@@ -1,13 +1,12 @@
 """Hamilton-path search driven by path-rewiring rules.
 
 A (u,v)-path is improved by a fixed catalog of rewirings: completions
-that absorb the missing vertex into a spanning path, extensions that
-insert an outside vertex, and equal-length rotations that are accepted
-only when they raise the anchor-gap statistic rho.  The catalog is not
-claimed complete, so the engine either returns a Hamilton path, or
-stalls with a best-effort certificate (a sparse vertex set or a
-join-partition witness) and leaves totality to the exact backtracking
-fallback.
+that absorb the missing vertex into a spanning path, and extensions that
+insert an outside vertex.  Every move lengthens the path, so the engine
+makes at most n moves.  The catalog is not claimed complete, so the
+engine either returns a Hamilton path, or stalls with a best-effort
+certificate (a sparse vertex set or a join-partition witness) and
+leaves totality to the exact backtracking fallback.
 
 Every matcher pairs two anchors of the outside vertex, so the engine
 only offers views with at least two; the reversed view of a path is the
@@ -114,32 +113,6 @@ def _rule_e1(g: Graph, ap: AnchoredPath):
         for b in A[ai + 1 :]:
             if b < last and (row >> p[b + 1]) & 1:
                 return p[: a + 1] + (y,) + p[a + 1 : b + 1][::-1] + p[b + 1 :]
-    return None
-
-
-def _rule_e2(g: Graph, ap: AnchoredPath):
-    """With a second outside vertex y2 hooked to the successors of two
-    anchors of y, absorb both outside vertices."""
-    p, y, A = ap.path, ap.outside, ap.anchors
-    adj = g.adj
-    last = len(p) - 1
-    others = g.full_mask() & ~mask_of(p) & ~(1 << y)
-    for y2 in bits(others):
-        row = adj[y2]
-        for ai, a in enumerate(A):
-            if a + 1 > last:
-                continue
-            if not (row >> p[a + 1]) & 1:
-                continue
-            for b in A[ai + 1 :]:
-                if b < last and (row >> p[b + 1]) & 1:
-                    return (
-                        p[: a + 1]
-                        + (y,)
-                        + p[a + 1 : b + 1][::-1]
-                        + (y2,)
-                        + p[b + 1 :]
-                    )
     return None
 
 
@@ -472,52 +445,6 @@ def _rule_h5(g: Graph, ap: AnchoredPath):
     return None
 
 
-def _rule_r1(g: Graph, ap: AnchoredPath):
-    """Equal-length rotations that swap the predecessor of an anchor for
-    y; used only when they raise rho."""
-    p, y, A = ap.path, ap.outside, ap.anchors
-    adj = g.adj
-    for j, q in enumerate(A):
-        # segment-exchange rotations on a consecutive pair (q, q1) first:
-        # their gating chord also matches the plain after-hook rotation
-        if j + 1 < len(A):
-            q1 = A[j + 1]
-            if q1 >= q + 2 and q >= 2 and (adj[p[q - 2]] >> p[q1 - 1]) & 1:
-                row = adj[p[q1 - 2]]
-                for pp in A:
-                    if pp in (q, q1) or pp < 1:
-                        continue
-                    if not (row >> p[pp - 1]) & 1:
-                        continue
-                    if pp < q and q >= pp + 2:
-                        return (
-                            p[:pp]
-                            + p[q : q1 - 1][::-1]
-                            + (y,)
-                            + p[pp : q - 1]
-                            + p[q1 - 1 :]
-                        )
-                    if pp > q1:
-                        return (
-                            p[: q - 1]
-                            + p[q1 - 1 : pp]
-                            + p[q : q1 - 1][::-1]
-                            + (y,)
-                            + p[pp:]
-                        )
-        # rotation hooked before q
-        for a in A[:j]:
-            if a >= 1 and q >= a + 2 and (adj[p[q - 2]] >> p[a - 1]) & 1:
-                return p[:a] + p[a : q - 1][::-1] + (y,) + p[q:]
-        # rotation hooked after q
-        if q >= 2:
-            row = adj[p[q - 2]]
-            for b in A[j + 1 :]:
-                if (row >> p[b - 1]) & 1:
-                    return p[: q - 1] + p[q:b][::-1] + (y,) + p[b:]
-    return None
-
-
 @dataclass(frozen=True)
 class RewriteRule:
     """A cataloged rewiring.  ``min_order`` is the fewest path vertices on
@@ -525,7 +452,6 @@ class RewriteRule:
     rule on shorter paths."""
 
     id: str
-    kind: str  # completes-hamilton | extends-path | raises-rho
     matcher: Callable[[Graph, AnchoredPath], Optional[tuple[int, ...]]]
     min_order: int
 
@@ -542,19 +468,15 @@ class RewriteRule:
 #       am + 1 <= last lies before q (q >= 2) or after q1: last >= 3; the
 #       endgames and table rewirings need more
 #   E1  two consecutive anchors: last >= 1
-#   E2  anchors a < b < last: last >= 2
 #   E3  an anchor a >= 2 and an index w, w < a - 2 or a <= w < last: last >= 3
-#   R1  anchors 1 <= a, a + 2 <= q, or 2 <= q < b: last >= 3
 RULE_CATALOG: tuple[RewriteRule, ...] = (
-    RewriteRule("H1", "completes-hamilton", _rule_h1, 4),
-    RewriteRule("H2", "completes-hamilton", _rule_h2, 4),
-    RewriteRule("H3", "completes-hamilton", _rule_h3, 4),
-    RewriteRule("H4", "completes-hamilton", _rule_h4, 5),
-    RewriteRule("H5", "completes-hamilton", _rule_h5, 4),
-    RewriteRule("E1", "extends-path", _rule_e1, 2),
-    RewriteRule("E2", "extends-path", _rule_e2, 3),
-    RewriteRule("E3", "extends-path", _rule_e3, 4),
-    RewriteRule("R1", "raises-rho", _rule_r1, 4),
+    RewriteRule("H1", _rule_h1, 4),
+    RewriteRule("H2", _rule_h2, 4),
+    RewriteRule("H3", _rule_h3, 4),
+    RewriteRule("H4", _rule_h4, 5),
+    RewriteRule("H5", _rule_h5, 4),
+    RewriteRule("E1", _rule_e1, 2),
+    RewriteRule("E3", _rule_e3, 4),
 )
 
 RULES_BY_ID = {r.id: r for r in RULE_CATALOG}
@@ -563,8 +485,8 @@ RULES_BY_ID = {r.id: r for r in RULE_CATALOG}
 def apply_rule(g: Graph, ap: AnchoredPath, rule: RewriteRule):
     """Run one rule against an anchored path; validated result or None.
 
-    A matched pattern whose rewiring fails validation is a transcription
-    bug and raises RuleTranscriptionError.
+    A matched pattern whose rewiring fails validation or does not lengthen
+    the path is a transcription bug and raises RuleTranscriptionError.
     """
     seq = rule.matcher(g, ap)
     if seq is None:
@@ -572,10 +494,7 @@ def apply_rule(g: Graph, ap: AnchoredPath, rule: RewriteRule):
     u, v = ap.path[0], ap.path[-1]
     if not validate_path(g, seq, u, v):
         raise RuleTranscriptionError(f"rule {rule.id} produced an invalid sequence {seq}")
-    if rule.kind == "raises-rho":
-        if len(seq) != len(ap.path):
-            raise RuleTranscriptionError(f"rule {rule.id} changed the path length")
-    elif len(seq) <= len(ap.path):
+    if len(seq) <= len(ap.path):
         raise RuleTranscriptionError(f"rule {rule.id} failed to lengthen the path")
     return seq
 
@@ -696,12 +615,8 @@ def _find_move(g: Graph, path: tuple[int, ...]):
                 views.append(AnchoredPath(path[::-1], ap.outside, mirrored, ap.rho))
         return views[i]
 
-    single = rest.bit_count() == 1
     for rule in RULE_CATALOG:
         if n_path < rule.min_order:
-            continue
-        rotation = rule.kind == "raises-rho"
-        if rotation and not single:
             continue
         for i in range(2 * n_forward):
             ap = view(i)
@@ -710,8 +625,7 @@ def _find_move(g: Graph, path: tuple[int, ...]):
                 continue
             new_path = seq[::-1] if i >= n_forward else seq
             new_rho = anchor(g, new_path).rho if g.n - len(new_path) == 1 else 0
-            if not rotation or new_rho > ap.rho:
-                return rule.id, new_path, ap.rho, new_rho
+            return rule.id, new_path, ap.rho, new_rho
     return None
 
 
@@ -772,10 +686,10 @@ def _extract_certificate(g: Graph, path: tuple[int, ...], k: int | None):
 def improve(g: Graph, u: int, v: int, k: int | None = None) -> EngineResult:
     """Drive the rewiring rules from a seed (u,v)-path.
 
-    Completions are tried first, then extensions, then rho-raising
-    rotations, so the pair (length, rho) strictly increases and the loop
-    terminates.  On a stall the result carries the best certificate
-    found: a join-partition witness, a sparse (k+1)-set, or none.
+    Completions are tried first, then extensions.  Every move lengthens
+    the path, so the loop ends within n moves.  On a stall the result
+    carries the best certificate found: a join-partition witness, a
+    sparse (k+1)-set, or none.
     Raises ValueError on bad endpoints or k < 1, and NoPathError (a
     ValueError) when u and v are not connected.
     """

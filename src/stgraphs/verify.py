@@ -164,9 +164,7 @@ def _grow_level(parents: tuple[str, ...]) -> tuple[str, ...]:
     a child isomorphic to S's with z fixed, so the same acceptance and
     the same label.  Each accepted child is labeled by one canonical
     search from the partition its acceptance test refined, and its
-    graph6 is written from the code.  The label cache is bypassed: every
-    accepted child is a new class, so a cached label would never be
-    looked up again."""
+    graph6 is written from the code."""
     out: list[str] = []
     for parent_g6 in parents:
         parent = from_graph6(parent_g6)

@@ -83,6 +83,27 @@ def test_verify_bound(capsys):
     assert "theorem=edge-bound" in out
 
 
+def test_verify_bound_rejects_k(capsys):
+    # bound takes no k; a given --k is an error, not silently ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "bound", "--k", "3"])
+    assert exc.value.code == "error: verify bound takes no --k"
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("data", [b"C~\nC\xc3\xa9\n", b"C~\nC\xe9\n"], ids=["utf8", "latin1"])
+def test_verify_input_file_names_line_of_non_ascii(capsys, tmp_path, data):
+    # a non-ASCII character, or a byte that is not UTF-8, is reported with
+    # its line, as on stdin
+    fp = tmp_path / "graphs.g6"
+    fp.write_bytes(data)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "main", "--k", "2", "--input", str(fp)])
+    assert str(exc.value.code).startswith("error: line 2: character ")
+    assert str(exc.value.code).endswith(" out of graph6 range")
+    assert capsys.readouterr().out == ""
+
+
 def test_verify_with_input_file(capsys, tmp_path):
     fp = tmp_path / "graphs.g6"
     fp.write_text(">>graph6<<" + to_graph6(petersen_graph()) + "\n")
@@ -196,6 +217,19 @@ FIND_PATH_TRANSCRIPTS = [
         "stalled: longest path found 0 1 2\n"
         "certificate: join-witness independent=[0, 2] rest=[1, 3]\n"
         "fallback: no hamilton path exists\n",
+    ),
+    (
+        # a 3-connected [4,2]-graph whose pair stalls without rule E3
+        ("find-path", "HzboPtU", "--u", "1", "--v", "2", "--k", "3", "--trace"),
+        0,
+        "move: E1 len 2->3 rho 0->0\n"
+        "move: E1 len 3->4 rho 0->0\n"
+        "move: H1 len 4->5 rho 1->0\n"
+        "move: H1 len 5->6 rho 1->0\n"
+        "move: E3 len 6->7 rho 2->0\n"
+        "move: H1 len 7->8 rho 3->1\n"
+        "move: H1 len 8->9 rho 1->0\n"
+        "hamilton-path: 1 0 4 7 6 8 3 5 2\n",
     ),
 ]
 

@@ -8,7 +8,6 @@ import pytest
 from stgraphs.graphcore import (
     Graph,
     Graph6Error,
-    _canon_cached,
     _degree_cells,
     _refine_split,
     automorphism_generators,
@@ -36,7 +35,6 @@ from stgraphs.predicates import (
 from stgraphs.verify import (
     TheoremReport,
     _canonical_augmentation,
-    _grow_level,
     _judge_edge_bound,
     _connected_level,
     _mark_orbit,
@@ -44,7 +42,6 @@ from stgraphs.verify import (
     _parent_cuts,
     _worker_count,
     brute_force_connected,
-    connected_graph6,
     enumerate_connected,
     min_size_search,
     read_graph6_lines,
@@ -132,15 +129,6 @@ def test_augmentation_matches_reference_definition():
                 children += 1
                 accepted += got is not None
     assert children == 7815 and 0 < accepted < children
-
-
-def test_grow_level_bypasses_label_cache():
-    # each accepted child is labeled once, straight from its acceptance
-    # partition; the label cache would only ever miss
-    parents = connected_graph6(6)
-    before = _canon_cached.cache_info()
-    assert _grow_level(parents) == connected_graph6(7)
-    assert _canon_cached.cache_info() == before
 
 
 def permute_mask_by_bits(perm, mask):
