@@ -3,8 +3,11 @@
 Everything here is exhaustive or exact search tuned for graphs of at
 most a dozen vertices: subset edge-count minimization, independence
 number by branch-and-bound, vertex connectivity and the threshold test
-kappa >= k by a bitset vertex-split max-flow, and Hamilton path/cycle
-search by pruned backtracking.
+kappa >= k by a bitset vertex-split max-flow on a split network built
+once per graph, Hamilton path/cycle search by pruned backtracking, and
+hamiltonian-connectedness by a rotation cover: Posa rotations of each
+path found cover further pairs, so exact searches run only on the
+pairs no rotation reaches.
 """
 
 from __future__ import annotations
@@ -91,21 +94,31 @@ def independence_number(g: Graph) -> int:
     return best
 
 
-def _local_connectivity(adj, n: int, s: int, t: int, cap: int) -> int:
-    """min(cap, number of internally disjoint (s,t)-paths) for nonadjacent s, t.
+def _split_network(adj, n: int) -> list[int]:
+    """Arc rows of the vertex-split graph of a graph on n vertices.
 
-    Unit-capacity max-flow on the vertex-split graph: node 2v is the
-    entry of v and 2v+1 its exit, with arcs entry(v) -> exit(v) and
-    exit(u) -> entry(w) for every edge uw.  No two original arcs are
-    antiparallel and every capacity is 0 or 1, so the residual arcs
-    leaving node a are one bit row res[a], and pushing a path through
-    arc a -> b is res[a] &= ~bit(b); res[b] |= bit(a).  Paths are found
-    by frontier BFS from exit(s) to entry(t), stopping at cap.
+    Node 2v is the entry of v and 2v+1 its exit, with arcs
+    entry(v) -> exit(v) and exit(u) -> entry(w) for every edge uw.
+    Built once per graph; `_local_connectivity` flows on a copy.
     """
     res = [0] * (2 * n)
     for v in range(n):
         res[2 * v] = 1 << (2 * v + 1)
         res[2 * v + 1] = sum(1 << (2 * w) for w in bits(adj[v]))
+    return res
+
+
+def _local_connectivity(split, n: int, s: int, t: int, cap: int) -> int:
+    """min(cap, number of internally disjoint (s,t)-paths) for nonadjacent s, t.
+
+    Unit-capacity max-flow on the vertex-split graph whose arc rows
+    `_split_network` built.  No two original arcs are antiparallel and
+    every capacity is 0 or 1, so the residual arcs leaving node a are
+    one bit row res[a], and pushing a path through arc a -> b is
+    res[a] &= ~bit(b); res[b] |= bit(a).  Paths are found by frontier
+    BFS from exit(s) to entry(t), stopping at cap.
+    """
+    res = list(split)
     src, sink = 2 * s + 1, 2 * t
     sink_bit = 1 << sink
     # entry(s) and exit(t) never lie on a path from src to sink
@@ -155,10 +168,11 @@ def vertex_connectivity(g: Graph) -> int:
     adj = g.adj
     full = (1 << n) - 1
     best = min(row.bit_count() for row in adj)
+    split = _split_network(adj, n)
     i = 0
     while i < best:
         for w in bits(full & ~adj[i] & ~(1 << i)):
-            best = _local_connectivity(adj, n, i, w, best)
+            best = _local_connectivity(split, n, i, w, best)
         i += 1
     return best
 
@@ -180,9 +194,10 @@ def is_k_connected(g: Graph, k: int) -> bool:
     if min(row.bit_count() for row in adj) < k:
         return False
     full = (1 << n) - 1
+    split = _split_network(adj, n)
     for i in range(k):
         for w in bits(full & ~adj[i] & ~(1 << i)):
-            if _local_connectivity(adj, n, i, w, k) < k:
+            if _local_connectivity(split, n, i, w, k) < k:
                 return False
     return True
 
@@ -280,16 +295,48 @@ def is_hamiltonian_connected(g: Graph) -> bool:
     """True iff every vertex pair is joined by a Hamilton path.
 
     K1 and K2 qualify: the single vertex resp. edge is the Hamilton path.
+
+    Decided by a rotation cover over exact searches.  Pairs are walked
+    in order of degree sum, and `hamilton_uv_path` runs only on a pair
+    no earlier path covers; the first pair without a path decides False.
+    Each path found is closed under Posa rotations at both ends: if
+    p_0 ~ p_i in the Hamilton path p_0 .. p_last, then
+    p_{i-1} .. p_0 p_i .. p_last uses the edge p_0 p_i in place of
+    p_{i-1} p_i, keeps every vertex once and every step an edge, so it
+    is again a Hamilton path, now from p_{i-1}.  A rotation is followed
+    only when it reaches a pair not yet covered, so every covered pair
+    holds a real witness path and at most C(n,2) paths are rotated.
     """
     n = g.n
     if n <= 1:
         return True
+    adj = g.adj
     deg = [g.degree(v) for v in range(n)]
     pairs = sorted(
         ((u, v) for u in range(n) for v in range(u + 1, n)),
         key=lambda p: deg[p[0]] + deg[p[1]],
     )
-    return all(hamilton_uv_path(g, u, v) is not None for u, v in pairs)
+    done = [0] * n  # bit v of done[u]: a Hamilton (u,v)-path is known
+    for u, v in pairs:
+        if (done[u] >> v) & 1:
+            continue
+        path = hamilton_uv_path(g, u, v)
+        if path is None:
+            return False
+        done[u] |= 1 << v
+        done[v] |= 1 << u
+        stack = [path]
+        while stack:
+            p = stack.pop()
+            for q in (p, p[::-1]):
+                row, z = adj[q[0]], q[-1]
+                for i in range(2, n):
+                    x = q[i - 1]
+                    if (row >> q[i]) & 1 and not (done[x] >> z) & 1:
+                        done[x] |= 1 << z
+                        done[z] |= 1 << x
+                        stack.append(q[i - 1::-1] + q[i:])
+    return True
 
 
 # -- join-exception recognizers -----------------------------------------

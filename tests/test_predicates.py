@@ -19,9 +19,11 @@ from stgraphs.graphcore import (
     subset_connected,
 )
 from stgraphs.pathengine import validate_path
+from stgraphs import predicates
 from stgraphs.predicates import (
     VACUOUS,
     _local_connectivity,
+    _split_network,
     exception_witness,
     girth,
     hamilton_uv_path,
@@ -191,11 +193,12 @@ def test_local_connectivity_is_capped_menger_number():
             for s, t in combinations(range(n), 2):
                 if g.has_edge(s, t):
                     continue
-                full = _local_connectivity(g.adj, n, s, t, n)
+                split = _split_network(g.adj, n)
+                full = _local_connectivity(split, n, s, t, n)
                 assert full == brute_local_connectivity(g, s, t)
-                assert _local_connectivity(g.adj, n, t, s, n) == full
+                assert _local_connectivity(split, n, t, s, n) == full
                 for cap in range(n + 1):
-                    assert _local_connectivity(g.adj, n, s, t, cap) == min(cap, full)
+                    assert _local_connectivity(split, n, s, t, cap) == min(cap, full)
 
 
 def test_connectivity_at_most_min_degree():
@@ -268,6 +271,86 @@ def test_is_hamiltonian_connected_examples():
     assert is_hamiltonian_connected(empty_graph(1))
     assert is_hamiltonian_connected(complete_graph(2))
     assert not is_hamiltonian_connected(empty_graph(2))
+
+
+def brute_hamiltonian_connected(g):
+    return all(
+        brute_hamilton_path(g, u, v) is not None
+        for u, v in combinations(range(g.n), 2)
+    )
+
+
+def pairwise_hamiltonian_connected(g):
+    """The definition, one exact search per pair: the reference the
+    rotation cover must agree with."""
+    return all(
+        hamilton_uv_path(g, u, v) is not None
+        for u, v in combinations(range(g.n), 2)
+    )
+
+
+def test_hamiltonian_connected_matches_permutation_oracle():
+    rng = random.Random(59)
+    cases = [relabeled(rng, g) for n in range(1, 8) for g in enumerate_connected(n)]
+    cases += [empty_graph(n) for n in range(4)]
+    cases.append(Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]))
+    for k in range(2, 5):
+        for core in (empty_graph(k), complete_graph(k), path_graph(k)):
+            cases.append(relabeled(rng, join(empty_graph(k), core)))
+    for g in cases:
+        assert is_hamiltonian_connected(g) == brute_hamiltonian_connected(g), g.adj
+
+
+def test_hamiltonian_connected_matches_pairwise_searches():
+    rng = random.Random(61)
+    for n in range(1, 9):
+        for g in enumerate_connected(n):
+            g = relabeled(rng, g)
+            assert is_hamiltonian_connected(g) == pairwise_hamiltonian_connected(g), g.adj
+
+
+@pytest.mark.slow
+def test_hamiltonian_connected_matches_pairwise_searches_order_nine():
+    # the 3-connected [4,2]-graphs of order 9: the main k = 3 hypothesis
+    graphs = [
+        g for g in enumerate_connected(9)
+        if is_st_graph(g, 4, 2) and is_k_connected(g, 3)
+    ]
+    assert len(graphs) == 8712
+    for g in graphs:
+        assert is_hamiltonian_connected(g) == pairwise_hamiltonian_connected(g), g.adj
+
+
+def count_searches(monkeypatch):
+    calls = []
+    search = predicates.hamilton_uv_path
+
+    def counted(g, u, v):
+        calls.append((u, v))
+        return search(g, u, v)
+
+    monkeypatch.setattr(predicates, "hamilton_uv_path", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_complete_graph_needs_one_search(monkeypatch, n):
+    calls = count_searches(monkeypatch)
+    assert is_hamiltonian_connected(complete_graph(n))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_cycle_needs_two_searches(monkeypatch, n):
+    calls = count_searches(monkeypatch)
+    assert not is_hamiltonian_connected(cycle_graph(n))
+    assert len(calls) == 2
+
+
+def test_petersen_needs_two_searches(monkeypatch):
+    calls = count_searches(monkeypatch)
+    assert not is_hamiltonian_connected(petersen_graph())
+    assert len(calls) == 2
 
 
 def test_hamiltonian_connected_implies_hamiltonian():
