@@ -1,7 +1,11 @@
 """Exact decision procedures for the graph properties the theorems quantify over.
 
 Everything here is exhaustive or exact search tuned for graphs of at
-most a dozen vertices: subset edge-count minimization, independence
+most a dozen vertices: subset edge-count minimization, a max-degree
+peel whose s-sets bound that minimum from above at every order at once
+(by averaging, deleting a vertex of maximum degree from m vertices and
+E edges leaves at most E(m-2)/m edges, so the s-set left has at most
+e.s(s-1)/(n(n-1)) edges), independence
 number by branch-and-bound, vertex connectivity and the threshold test
 kappa >= k by a bitset vertex-split max-flow on a split network built
 once per graph, Hamilton path/cycle search by pruned backtracking, and
@@ -34,25 +38,60 @@ def min_induced_edges(g: Graph, s: int, stop_below: int | None = None):
     if s > n:
         return VACUOUS
     adj = g.adj
-    order = sorted(range(n), key=lambda v: (adj[v].bit_count(), v))
+    degs = [row.bit_count() for row in adj]
+    # stable sort: ties keep vertex order, as the key (degree, v) would
+    order = sorted(range(n), key=degs.__getitem__)
     best = s * (s - 1) // 2 + 1
+    # a child is entered only below limit; the search is over once best < stop
+    limit = best if stop_below is None else min(best, stop_below)
+    stop = 1 if stop_below is None else max(stop_below, 1)
 
     def dfs(idx, chosen_mask, count, size):
-        nonlocal best
-        if count >= best or (stop_below is not None and count >= stop_below):
-            return
-        if size == s:
-            best = count
-            return
+        nonlocal best, limit
         for i in range(idx, n - (s - size) + 1):
             v = order[i]
-            dfs(i + 1, chosen_mask | (1 << v), count + (adj[v] & chosen_mask).bit_count(),
-                size + 1)
-            if best == 0 or (stop_below is not None and best < stop_below):
+            c = count + (adj[v] & chosen_mask).bit_count()
+            if c >= limit:
+                continue
+            if size + 1 == s:
+                best = limit = c
+            else:
+                dfs(i + 1, chosen_mask | (1 << v), c, size + 1)
+            if best < stop:
                 return
 
     dfs(0, 0, 0, 0)
     return best
+
+
+def peel_edge_counts(g: Graph) -> list[int]:
+    """Edge counts of the vertex sets a max-degree peel leaves, by order.
+
+    Starting from all n vertices, the lowest-numbered vertex of maximum
+    degree in what remains is deleted, one at a time; entry s of the
+    result is the edge count of the s-set left, for s = 0..n.  Each
+    entry counts the edges of an induced s-set, so it bounds
+    `min_induced_edges(g, s)` from above.  Degrees in what remains are
+    popcounts of bit rows, so the peel is O(n^2) word operations.
+    """
+    n = g.n
+    adj = g.adj
+    counts = [0] * (n + 1)
+    edges = counts[n] = g.edge_count
+    alive = (1 << n) - 1
+    for m in range(n - 1, 0, -1):
+        top_deg = -1
+        rest = alive
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            d = (adj[b.bit_length() - 1] & alive).bit_count()
+            if d > top_deg:
+                top_deg, top = d, b
+        alive ^= top
+        edges -= top_deg
+        counts[m] = edges
+    return counts
 
 
 def is_st_graph(g: Graph, s: int, t: int) -> bool:

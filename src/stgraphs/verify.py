@@ -43,9 +43,11 @@ from .predicates import (
     is_petersen,
     is_st_graph,
     join_witness,
+    peel_edge_counts,
 )
 
 ENUM_MAX = 10
+BOUND_MAX = 9
 BRUTE_MAX = 7
 
 _level_cache: dict[int, tuple[str, ...]] = {}
@@ -344,8 +346,16 @@ def _judge_edge_bound(g: Graph, k: int):
     n, e = g.n, g.edge_count
     orders = range(2, n + 1)
     # one hit per order s; the bound e >= t*.n(n-1)/(s(s-1)) fails iff
-    # s(s-1)e < t*.n(n-1), i.e. iff g is an [s, s(s-1)e // (n(n-1)) + 1]-graph
-    refuted = any(is_st_graph(g, s, s * (s - 1) * e // (n * (n - 1)) + 1) for s in orders)
+    # s(s-1)e < t*.n(n-1), i.e. iff g is an [s, s(s-1)e // (n(n-1)) + 1]-graph.
+    # The s-set a max-degree peel leaves has at most s(s-1)e/(n(n-1)) edges
+    # by averaging, so it certifies order s; the exact search runs only at
+    # an order it does not certify, and the verdict never rests on the lemma.
+    peel = peel_edge_counts(g)
+    refuted = any(
+        peel[s] * n * (n - 1) > s * (s - 1) * e
+        and is_st_graph(g, s, s * (s - 1) * e // (n * (n - 1)) + 1)
+        for s in orders
+    )
     return len(orders), None, refuted
 
 
@@ -473,9 +483,14 @@ def verify_wang_mou(n_max: int, k: int, graphs=None, jobs: int = 1) -> TheoremRe
 
 def verify_edge_bound(n_max: int, graphs=None, jobs: int = 1) -> TheoremReport:
     """Scan: for every graph and order s, the size is at least
-    t*.n(n-1)/(s(s-1)) where t* is the exact induced-subgraph minimum."""
-    if graphs is None and n_max > 9:
-        raise ValueError("full-range bound scans cover orders up to 9")
+    t*.n(n-1)/(s(s-1)) where t* is the exact induced-subgraph minimum.
+
+    Each order is certified by the s-set of a max-degree peel, whose
+    edge count is at most s(s-1)e/(n(n-1)); the exact [s,t] search runs
+    only at orders the peel leaves open.  Generated ranges stop at
+    order BOUND_MAX."""
+    if graphs is None and not 1 <= n_max <= BOUND_MAX:
+        raise ValueError(f"nmax must be within 1..{BOUND_MAX}")
     return _scan("bound", n_max, None, graphs, jobs)
 
 
@@ -521,12 +536,14 @@ class MinSizeResult:
 
 def min_size_search(n: int, s: int, t: int) -> MinSizeResult:
     """Exact minimum size over connected [s,t]-graphs of order n, with
-    the double-counting lower bound reported alongside."""
+    the double-counting lower bound ceil(t.n(n-1)/(s(s-1))) reported
+    alongside; it is 0 when s > n, where every graph is vacuously an
+    [s,t]-graph."""
     if not 1 <= n <= 9:
         raise ValueError("order must be within 1..9")
     if s < 2 or t < 1:
         raise ValueError("need s >= 2 and t >= 1")
-    lower = -(-t * n * (n - 1) // (s * (s - 1)))
+    lower = -(-t * n * (n - 1) // (s * (s - 1))) if s <= n else 0
     best: int | None = None
     witness: str | None = None
     for g in enumerate_connected(n):

@@ -83,6 +83,13 @@ def test_verify_bound(capsys):
     assert "theorem=edge-bound" in out
 
 
+@pytest.mark.parametrize("nmax", ["0", "10"])
+def test_verify_bound_rejects_nmax_out_of_range(nmax):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "bound", "--nmax", nmax])
+    assert exc.value.code == "error: nmax must be within 1..9"
+
+
 def test_verify_bound_rejects_k(capsys):
     # bound takes no k; a given --k is an error, not silently ignored
     with pytest.raises(SystemExit) as exc:
@@ -248,6 +255,12 @@ def test_min_size_exit_codes(capsys):
     code, out = run_cli(capsys, "min-size", "--n", "4", "--s", "2", "--t", "2")
     assert code == 1
     assert "minimum=none" in out
+
+
+def test_min_size_without_s_sets_reports_no_lower_bound(capsys):
+    code, out = run_cli(capsys, "min-size", "--n", "4", "--s", "5", "--t", "10")
+    assert code == 0
+    assert "RESULT n=4 s=5 t=10 lower_bound=0 minimum=3 " in out
 
 
 def test_gen_streams_graph6(capsys):

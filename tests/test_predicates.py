@@ -82,6 +82,53 @@ def test_min_induced_edges_matches_brute_force():
             assert min_induced_edges(g, s) == brute_min_edges(g, s)
 
 
+def labeled_graphs(n):
+    pairs = list(combinations(range(n), 2))
+    for code in range(1 << len(pairs)):
+        yield Graph.from_edges(n, [p for b, p in enumerate(pairs) if (code >> b) & 1])
+
+
+def small_graphs():
+    """Every labeled graph with n <= 5 and every connected class with n <= 7."""
+    yield from (g for n in range(1, 6) for g in labeled_graphs(n))
+    yield from (g for n in range(1, 8) for g in enumerate_connected(n))
+
+
+def test_min_induced_edges_and_st_graph_match_brute_force_exhaustively():
+    for g in small_graphs():
+        for s in range(1, g.n + 2):
+            want = brute_min_edges(g, s)
+            assert min_induced_edges(g, s) == want, (g.adj, s)
+            for t in range(s * (s - 1) // 2 + 2):
+                assert is_st_graph(g, s, t) == (want >= t), (g.adj, s, t)
+
+
+def reference_peel(g):
+    """The s-sets of a max-degree peel, keyed by s: at each step the induced
+    subgraph of what is left is rebuilt and its lowest-numbered vertex of
+    maximum degree is deleted."""
+    left = list(range(g.n))
+    sets = {g.n: tuple(left)}
+    while len(left) > 1:
+        h = induced_subgraph(g, left)
+        degs = [h.degree(i) for i in range(h.n)]
+        del left[degs.index(max(degs))]
+        sets[len(left)] = tuple(left)
+    return sets
+
+
+def test_peel_edge_counts_certify_the_edge_bound():
+    for g in small_graphs():
+        n, e = g.n, g.edge_count
+        peel = predicates.peel_edge_counts(g)
+        assert len(peel) == n + 1
+        for s, chosen in reference_peel(g).items():
+            assert peel[s] == induced_subgraph(g, chosen).edge_count, (g.adj, s)
+            if s >= 2:
+                assert peel[s] >= brute_min_edges(g, s)
+                assert peel[s] * n * (n - 1) <= s * (s - 1) * e, (g.adj, s)
+
+
 def test_is_st_graph_examples():
     assert is_st_graph(cycle_graph(4), 3, 2)
     assert not is_st_graph(cycle_graph(5), 3, 2)

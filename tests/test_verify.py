@@ -26,6 +26,7 @@ from stgraphs.graphcore import (
     subset_connected,
     to_graph6,
 )
+from stgraphs import verify
 from stgraphs.predicates import (
     independence_number,
     is_k_connected,
@@ -337,9 +338,7 @@ def all_labeled_graphs(n):
         yield Graph.from_edges(n, [p for b, p in enumerate(pairs) if (code >> b) & 1])
 
 
-def test_edge_bound_judge_matches_exact_minimum_formula():
-    """The threshold judge refutes exactly when some order s has
-    s(s-1)e < t*.n(n-1) with t* the exact induced minimum."""
+def assert_judge_matches_exact_minimum_formula():
     graphs = [g for n in range(1, 8) for g in enumerate_connected(n)]
     graphs += [g for n in range(1, 6) for g in all_labeled_graphs(n)]
     for g in graphs:
@@ -347,6 +346,44 @@ def test_edge_bound_judge_matches_exact_minimum_formula():
         orders = range(2, n + 1)
         want = any(s * (s - 1) * e < min_induced_edges(g, s) * n * (n - 1) for s in orders)
         assert _judge_edge_bound(g, None) == (len(orders), None, want), g.adj
+
+
+def test_edge_bound_judge_matches_exact_minimum_formula():
+    """The threshold judge refutes exactly when some order s has
+    s(s-1)e < t*.n(n-1) with t* the exact induced minimum."""
+    assert_judge_matches_exact_minimum_formula()
+
+
+def count_exact_bound_searches(monkeypatch):
+    calls = []
+    exact = verify.is_st_graph
+
+    def counted(g, s, t):
+        calls.append((g.n, s, t))
+        return exact(g, s, t)
+
+    monkeypatch.setattr(verify, "is_st_graph", counted)
+    return calls
+
+
+def test_edge_bound_peel_certifies_every_order(monkeypatch):
+    calls = count_exact_bound_searches(monkeypatch)
+    assert verify_edge_bound(7).verified
+    assert calls == []
+
+
+def test_edge_bound_exact_fallback_decides_uncertified_orders(monkeypatch):
+    """With a peel that certifies nothing (every entry C(s,2)), the exact
+    search decides every order and the verdicts do not change."""
+    want = list(verify_edge_bound(7).machine_lines())
+    monkeypatch.setattr(
+        verify, "peel_edge_counts", lambda g: [s * (s - 1) // 2 for s in range(g.n + 1)]
+    )
+    calls = count_exact_bound_searches(monkeypatch)
+    assert list(verify_edge_bound(7).machine_lines()) == want
+    # C(s,2).n(n-1) <= s(s-1)e only for complete graphs, which are never searched
+    assert len(calls) == 5785 - sum(n - 1 for n in range(2, 8))
+    assert_judge_matches_exact_minimum_formula()
 
 
 # -- hypothesis funnel ------------------------------------------------------------------
@@ -453,13 +490,11 @@ def test_min_size_absent_when_unsatisfiable():
 
 def test_min_size_respects_lower_bound_across_params():
     for n in range(3, 7):
-        for s in (2, 3):
-            for t in (1, 2, 3):
-                if t > s * (s - 1) // 2:
-                    continue
+        for s in range(2, n + 3):
+            for t in range(1, s * (s - 1) // 2 + 1):
                 r = min_size_search(n, s, t)
                 if r.minimum is not None:
-                    assert r.minimum >= r.lower_bound
+                    assert r.minimum >= r.lower_bound, (n, s, t)
 
 
 def test_min_size_rejects_bad_params():
