@@ -670,8 +670,14 @@ def _extract_certificate(g: Graph, path: tuple[int, ...], k: int | None):
     kk = k if k is not None else (g.n // 2 if g.n % 2 == 0 else None)
     if kk is not None and kk >= 1:
         w = exception_witness(g, kk)
-        if w is not None:
-            return Certificate("join-witness", witness=w)
+        # the witness certifies only a pair that a side S of it refutes:
+        # deleting S from a Hamilton (u,v)-path leaves at most
+        # |S| + 1 - |S & {u,v}| segments, so G - S has no more components
+        ends = {path[0], path[-1]}
+        for side in () if w is None else (w.rest, w.independent_part):
+            comps = component_masks(g.adj, g.full_mask() & ~mask_of(side))
+            if len(comps) > len(side) + 1 - len(ends.intersection(side)):
+                return Certificate("join-witness", witness=w)
     want = None if k is None else k + 1
     for cand in _certificate_candidates(g, path):
         if want is not None:

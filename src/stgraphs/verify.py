@@ -36,7 +36,6 @@ from .graphcore import (
 )
 from .predicates import (
     exception_witness,
-    independence_number,
     is_hamiltonian,
     is_hamiltonian_connected,
     is_k_connected,
@@ -244,7 +243,7 @@ def read_graph6_lines(lines):
     out = []
     for lineno, line in enumerate(lines, 1):
         line = line.strip()
-        if not line:
+        if not line or line == ">>graph6<<":
             continue
         try:
             out.append(from_graph6(line))
@@ -301,10 +300,10 @@ class TheoremReport:
 
 # -- theorem scans -------------------------------------------------------
 #
-# Every theorem runs one pipeline: test the hypotheses in order, decide
-# the conclusion, and certify the allowed exceptions.  A judge maps
-# (graph, k) to (hypothesis hits, exception or None, refuted); an
-# exception recognizer maps (graph, k) to (kind, witness or None) or
+# main, ce and wangmou are one statement: a k-connected [k+d, t]-graph
+# meets its conclusion exactly unless its exception recognizer accepts
+# it.  A judge maps (graph, k) to (hypothesis hits, exception or None,
+# refuted); a recognizer maps (graph, k) to (kind, witness or None) or
 # None, and revalidate_report calls the same recognizer the scan did.
 
 
@@ -320,26 +319,6 @@ def _wang_mou_exception(g: Graph, k: int):
         return "petersen", None
     w = join_witness(g, k + 1) if g.n == 2 * k + 1 else None
     return None if w is None else ("join-witness", w)
-
-
-def _judge_main(g: Graph, k: int):
-    if g.n < k + 1 or not is_st_graph(g, k + 1, 2) or not is_k_connected(g, k):
-        return 0, None, False
-    exception = _main_exception(g, k)
-    return 1, exception, is_hamiltonian_connected(g) == (exception is not None)
-
-
-def _judge_chvatal_erdos(g: Graph, k: int):
-    if g.n < k + 1 or independence_number(g) > k - 1 or not is_k_connected(g, k):
-        return 0, None, False
-    return 1, None, not is_hamiltonian_connected(g)
-
-
-def _judge_wang_mou(g: Graph, k: int):
-    if g.n < max(3, k + 1) or not is_st_graph(g, k + 2, 2) or not is_k_connected(g, k):
-        return 0, None, False
-    exception = _wang_mou_exception(g, k)
-    return 1, exception, is_hamiltonian(g) == (exception is not None)
 
 
 def _judge_edge_bound(g: Graph, k: int):
@@ -361,37 +340,51 @@ def _judge_edge_bound(g: Graph, k: int):
 
 @dataclass(frozen=True)
 class Theorem:
-    """One theorem scan.
-
-    ``k_min`` is the smallest k the theorem takes, None when it takes no
-    k.  ``entry`` names the public scan function; callers look it up on
-    this module at call time, so wrappers installed there see the call.
+    """One theorem scan.  With ``d`` set, every k-connected [k+d, t]-graph
+    of order >= 3 is hamiltonian-connected (hamiltonian unless
+    ``connected``) exactly unless ``exception`` recognizes it; bound
+    leaves ``d`` None.  ``k_min`` is the smallest k taken (None: no k),
+    ``n_max`` caps generated orders, and ``entry`` names the public scan
+    function.  Callers look ``entry`` up, and the judge its predicates,
+    on this module at call time, so wrappers installed there see them.
     """
 
     name: str
     k_min: int | None
     claim: str
-    judge: Callable
-    exception: Callable | None
     entry: str
+    n_max: int = ENUM_MAX
+    d: int | None = None
+    t: int = 2
+    connected: bool = True
+    exception: Callable | None = None
+
+    def judge(self, g: Graph, k: int):
+        if self.d is None:
+            return _judge_edge_bound(g, k)
+        hit = g.n >= max(3, k + 1) and is_st_graph(g, k + self.d, self.t) and is_k_connected(g, k)
+        if not hit:
+            return 0, None, False
+        exception = None if self.exception is None else self.exception(g, k)
+        holds = is_hamiltonian_connected(g) if self.connected else is_hamiltonian(g)
+        return 1, exception, holds == (exception is not None)
 
 
 THEOREMS = {
     "main": Theorem(
         "main", 2, "hamiltonian-connectivity of k-connected [k+1,2]-graphs",
-        _judge_main, _main_exception, "verify_main_theorem",
+        "verify_main_theorem", d=1, t=2, exception=_main_exception,
     ),
     "ce": Theorem(
         "chvatal-erdos", 2, "hamiltonian-connectivity under connectivity > independence",
-        _judge_chvatal_erdos, None, "verify_chvatal_erdos",
+        "verify_chvatal_erdos", d=0, t=1,
     ),
     "wangmou": Theorem(
         "wang-mou", 1, "hamiltonicity of k-connected [k+2,2]-graphs",
-        _judge_wang_mou, _wang_mou_exception, "verify_wang_mou",
+        "verify_wang_mou", d=2, t=2, connected=False, exception=_wang_mou_exception,
     ),
     "bound": Theorem(
-        "edge-bound", None, "the [s,t] edge lower bound",
-        _judge_edge_bound, None, "verify_edge_bound",
+        "edge-bound", None, "the [s,t] edge lower bound", "verify_edge_bound", n_max=BOUND_MAX,
     ),
 }
 
@@ -436,8 +429,8 @@ def _scan(key: str, n_max: int, k: int | None, graphs, jobs: int) -> TheoremRepo
         raise ValueError(f"k must be at least {spec.k_min}")
     workers = _worker_count(jobs, os.cpu_count())
     if graphs is None:
-        if not 1 <= n_max <= ENUM_MAX:
-            raise ValueError(f"nmax must be within 1..{ENUM_MAX}")
+        if not 1 <= n_max <= spec.n_max:
+            raise ValueError(f"nmax must be within 1..{spec.n_max}")
         items = [g6 for n in range(1, n_max + 1) for g6 in _connected_level(n)]
         source = ("nmax", n_max)
     else:
@@ -470,8 +463,8 @@ def verify_main_theorem(n_max: int, k: int, graphs=None, jobs: int = 1) -> Theor
 
 
 def verify_chvatal_erdos(n_max: int, k: int, graphs=None, jobs: int = 1) -> TheoremReport:
-    """Scan: k-connected graphs with independence number below k are
-    hamiltonian-connected, with no exceptions allowed."""
+    """Scan: k-connected [k,1]-graphs, those with independence number
+    below k, are hamiltonian-connected, with no exceptions allowed."""
     return _scan("ce", n_max, k, graphs, jobs)
 
 
@@ -489,8 +482,6 @@ def verify_edge_bound(n_max: int, graphs=None, jobs: int = 1) -> TheoremReport:
     edge count is at most s(s-1)e/(n(n-1)); the exact [s,t] search runs
     only at orders the peel leaves open.  Generated ranges stop at
     order BOUND_MAX."""
-    if graphs is None and not 1 <= n_max <= BOUND_MAX:
-        raise ValueError(f"nmax must be within 1..{BOUND_MAX}")
     return _scan("bound", n_max, None, graphs, jobs)
 
 

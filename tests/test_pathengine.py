@@ -367,6 +367,22 @@ def test_engine_on_join_exception_family(k):
                 assert validate_path(g, got, u, v)
 
 
+def test_join_witness_only_on_pairs_it_refutes():
+    # G?~vnk is an independent 4-set {0..3} joined to a 4-vertex graph
+    # with edges.  A pair inside the independent part has a Hamilton path,
+    # so the graph-level witness must not be attached to it; a pair inside
+    # the rest has none, and the witness refutes it by counting.
+    g = from_graph6("G?~vnk")
+    assert exception_witness(g, 4).independent_part == (0, 1, 2, 3)
+    res = improve(g, 0, 1, k=4)
+    assert res.outcome == "stalled"
+    assert res.certificate is None or res.certificate.kind != "join-witness"
+    assert hamilton_uv_path(g, 0, 1) is not None
+    res = improve(g, 4, 5, k=4)
+    assert res.outcome == "stalled" and res.certificate.kind == "join-witness"
+    assert hamilton_uv_path(g, 4, 5) is None
+
+
 def test_stalled_states_satisfy_longest_path_invariants():
     # in hypothesis graphs that are not exceptions, a stalled single-missing
     # state must have non-consecutive anchors and independent successor and

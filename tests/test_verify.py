@@ -1,7 +1,7 @@
 import hashlib
 import random
 from dataclasses import replace
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -404,6 +404,56 @@ def test_hypothesis_hits_pinned_at_nmax_7():
     assert verify_edge_bound(7).hypothesis_hits == 5785
 
 
+def _oracle_connected(adj, mask: int) -> bool:
+    """Whether the vertices of mask induce a connected graph (graph search)."""
+    if not mask:
+        return True
+    seen = frontier = mask & -mask
+    while frontier:
+        v = frontier.bit_length() - 1
+        frontier &= ~(1 << v)
+        fresh = adj[v] & mask & ~seen
+        seen |= fresh
+        frontier |= fresh
+    return seen == mask
+
+
+def _oracle_hypothesis(g, k: int, s: int, t: int) -> bool:
+    """k-connected [s,t]-graph of order >= max(3, k+1), decided by brute
+    force: every s-subset induces >= t edges, and deleting any vertex set
+    of size < k leaves the graph connected."""
+    n, adj = g.n, g.adj
+    if n < max(3, k + 1):
+        return False
+    for sub in combinations(range(n), s):
+        m = sum(1 << v for v in sub)
+        if sum((adj[v] & m).bit_count() for v in sub) // 2 < t:
+            return False
+    full = (1 << n) - 1
+    return all(
+        _oracle_connected(adj, full & ~sum(1 << v for v in cut))
+        for size in range(k)
+        for cut in combinations(range(n), size)
+    )
+
+
+def test_hypothesis_hits_match_brute_force_oracle():
+    """Each parametric theorem is its k-connected [k+d, t] hypothesis:
+    main [k+1,2], ce [k,1] (alpha <= k-1) and wangmou [k+2,2].  The scan's
+    hits over all connected graphs of order <= 7 match an oracle that
+    uses no stgraphs predicate."""
+    graphs = [g for n in range(1, 8) for g in enumerate_connected(n)]
+    scans = {
+        "main": (verify_main_theorem, 1, 2),
+        "ce": (verify_chvatal_erdos, 0, 1),
+        "wangmou": (verify_wang_mou, 2, 2),
+    }
+    for name, k in [("main", 2), ("main", 3), ("ce", 2), ("ce", 3), ("wangmou", 1), ("wangmou", 2)]:
+        scan, d, t = scans[name]
+        want = sum(_oracle_hypothesis(g, k, k + d, t) for g in graphs)
+        assert scan(7, k).hypothesis_hits == want, (name, k)
+
+
 # -- report plumbing ------------------------------------------------------------------
 
 
@@ -424,6 +474,14 @@ def test_input_stream_tolerates_headers_and_blanks():
     assert report.scanned == 2
     assert report.verified
     assert len(report.exceptions) == 1  # the 4-cycle
+
+
+def test_input_stream_skips_header_only_lines():
+    graphs = read_graph6_lines([">>graph6<<", " >>graph6<< ", "C~"])
+    assert [to_graph6(g) for g in graphs] == ["C~"]
+    # a header followed by a malformed entry still names that line
+    with pytest.raises(Graph6Error, match=r"^line 2: "):
+        read_graph6_lines([">>graph6<<", ">>graph6<<C"])
 
 
 def test_revalidate_rejects_certificates_the_scan_cannot_emit():
