@@ -568,9 +568,13 @@ def to_graph6(g: Graph) -> str:
 
 @lru_cache(maxsize=None)
 def _pair_bits(n: int):
-    """For each bit position p of an order-n graph6 bit string read as one
-    int (the last pair at p = 0): the pair's vertices i, j and bit(i), bit(j)."""
-    return tuple((i, j, 1 << i, 1 << j) for i, j in reversed(tuple(_pair_order(n))))
+    """For each bit position p of an order-n graph6 bit string, in string
+    order: the pair's vertices i, j and bit(i), bit(j)."""
+    return tuple((i, j, 1 << i, 1 << j) for i, j in _pair_order(n))
+
+
+# offsets (0 = most significant) of the set bits of each 6-bit graph6 value
+_SET_BITS = tuple(tuple(o for o in range(6) if (x >> (5 - o)) & 1) for x in range(64))
 
 
 def from_graph6(text: str) -> Graph:
@@ -592,19 +596,16 @@ def from_graph6(text: str) -> Graph:
         raise Graph6Error(
             f"malformed length: order {n} needs {need} data characters, got {len(s) - 1}"
         )
-    code = 0
-    for c in s[1:]:
-        code = (code << 6) | (ord(c) - 63)
-    pad = 6 * need - width
-    if code & ((1 << pad) - 1):
+    # the padding bits are the low bits of the last character
+    if (ord(s[-1]) - 63) & ((1 << (6 * need - width)) - 1):
         raise Graph6Error("nonzero trailing padding bits")
-    code >>= pad
     rows = [0] * n
-    table = _pair_bits(n)
-    while code:
-        b = code & -code
-        code ^= b
-        i, j, bi, bj = table[b.bit_length() - 1]
-        rows[i] |= bj
-        rows[j] |= bi
+    pairs = _pair_bits(n)
+    p = 0
+    for c in s.encode("ascii")[1:]:
+        for o in _SET_BITS[c - 63]:
+            i, j, bi, bj = pairs[p + o]
+            rows[i] |= bj
+            rows[j] |= bi
+        p += 6
     return Graph._from_rows(n, rows)

@@ -5,10 +5,12 @@ most a dozen vertices: subset edge-count minimization, a max-degree
 peel whose s-sets bound that minimum from above at every order at once
 (by averaging, deleting a vertex of maximum degree from m vertices and
 E edges leaves at most E(m-2)/m edges, so the s-set left has at most
-e.s(s-1)/(n(n-1)) edges), independence
-number by branch-and-bound, vertex connectivity and the threshold test
-kappa >= k by a bitset vertex-split max-flow on a split network built
-once per graph, Hamilton path/cycle search by pruned backtracking, and
+e.s(s-1)/(n(n-1)) edges), independence number by branch-and-bound
+(which also decides [s,1], the absence of an independent s-set),
+vertex connectivity and the threshold test kappa >= k by a bitset
+vertex-split max-flow on a split network built once per graph and
+warm-started with the length-2 paths through the common neighbours of
+the two ends, Hamilton path/cycle search by pruned backtracking, and
 hamiltonian-connectedness by a rotation cover: Posa rotations of each
 path found cover further pairs, so exact searches run only on the
 pairs no rotation reaches.
@@ -105,32 +107,45 @@ def is_st_graph(g: Graph, s: int, t: int) -> bool:
         raise ValueError("t must be nonnegative")
     if t == 0:
         return True
+    if t == 1:
+        # an s-set with no edge is an independent s-set
+        return _independent_set_size(g, s) < s
     return min_induced_edges(g, s, stop_below=t) >= t
 
 
-def independence_number(g: Graph) -> int:
-    """Size of a maximum independent set (clique branch-and-bound on the complement)."""
+def _independent_set_size(g: Graph, stop: int) -> int:
+    """Size of a maximum independent set, by clique branch-and-bound on
+    the complement; returns early, with any size >= stop, once an
+    independent set of that size is found."""
     n = g.n
-    if n == 0:
-        return 0
     full = (1 << n) - 1
     comp = [~g.adj[v] & full & ~(1 << v) for v in range(n)]
     best = 0
 
     def expand(cand, size):
+        """True once best has reached stop."""
         nonlocal best
         while cand:
             if size + cand.bit_count() <= best:
-                return
+                return False
             b = cand & -cand
             v = b.bit_length() - 1
             cand ^= b
             if size + 1 > best:
                 best = size + 1
-            expand(cand & comp[v], size + 1)
+                if best >= stop:
+                    return True
+            if expand(cand & comp[v], size + 1):
+                return True
+        return False
 
     expand(full, 0)
     return best
+
+
+def independence_number(g: Graph) -> int:
+    """Size of a maximum independent set (clique branch-and-bound on the complement)."""
+    return _independent_set_size(g, g.n + 1)
 
 
 def _split_network(adj, n: int) -> list[int]:
@@ -154,16 +169,26 @@ def _local_connectivity(split, n: int, s: int, t: int, cap: int) -> int:
     `_split_network` built.  No two original arcs are antiparallel and
     every capacity is 0 or 1, so the residual arcs leaving node a are
     one bit row res[a], and pushing a path through arc a -> b is
-    res[a] &= ~bit(b); res[b] |= bit(a).  Paths are found by frontier
-    BFS from exit(s) to entry(t), stopping at cap.
+    res[a] &= ~bit(b); res[b] |= bit(a).  The flow starts from one
+    length-2 path through each common neighbour of s and t (up to cap),
+    which is a valid flow, so augmenting from it still reaches the
+    maximum (Ford-Fulkerson); further paths are found by frontier BFS
+    from exit(s) to entry(t), stopping at cap.
     """
-    res = list(split)
     src, sink = 2 * s + 1, 2 * t
+    # warm start: each common neighbour x carries exit(s) -> entry(x) ->
+    # exit(x) -> entry(t).  Its residual arcs then lead only back into
+    # exit(s) or out of entry(t), which no search follows, so x lies on
+    # no augmenting path and its entry is closed to the search
+    common = split[src] & split[2 * t + 1]
+    flow = min(cap, common.bit_count())
+    if flow == cap:
+        return flow
+    res = list(split)
     sink_bit = 1 << sink
     # entry(s) and exit(t) never lie on a path from src to sink
-    closed = (1 << src) | (1 << (2 * s)) | (1 << (2 * t + 1))
+    closed = (1 << src) | (1 << (2 * s)) | (1 << (2 * t + 1)) | common
     parent = [0] * (2 * n)
-    flow = 0
     while flow < cap:
         seen = closed
         frontier = [src]

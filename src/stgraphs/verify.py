@@ -12,7 +12,6 @@ as graph6 strings.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from dataclasses import dataclass
 from typing import Callable
@@ -343,7 +342,10 @@ class Theorem:
     """One theorem scan.  With ``d`` set, every k-connected [k+d, t]-graph
     of order >= 3 is hamiltonian-connected (hamiltonian unless
     ``connected``) exactly unless ``exception`` recognizes it; bound
-    leaves ``d`` None.  ``k_min`` is the smallest k taken (None: no k),
+    leaves ``d`` None.  The judge gates in the order: order >= max(3,
+    k+1), minimum degree >= k (implied by kappa >= k, and the cheapest
+    test), [k+d, t], kappa >= k, then the exception and the conclusion.
+    ``k_min`` is the smallest k taken (None: no k),
     ``n_max`` caps generated orders, and ``entry`` names the public scan
     function.  Callers look ``entry`` up, and the judge its predicates,
     on this module at call time, so wrappers installed there see them.
@@ -362,7 +364,12 @@ class Theorem:
     def judge(self, g: Graph, k: int):
         if self.d is None:
             return _judge_edge_bound(g, k)
-        hit = g.n >= max(3, k + 1) and is_st_graph(g, k + self.d, self.t) and is_k_connected(g, k)
+        hit = (
+            g.n >= max(3, k + 1)
+            and min(map(int.bit_count, g.adj)) >= k
+            and is_st_graph(g, k + self.d, self.t)
+            and is_k_connected(g, k)
+        )
         if not hit:
             return 0, None, False
         exception = None if self.exception is None else self.exception(g, k)
@@ -442,6 +449,8 @@ def _scan(key: str, n_max: int, k: int | None, graphs, jobs: int) -> TheoremRepo
         parts = [_scan_slice((key, k, items))]
     else:
         slices = [(key, k, items[i::workers]) for i in range(workers)]
+        import multiprocessing  # only a pool needs it; a plain scan skips the import
+
         with multiprocessing.Pool(workers) as pool:
             parts = pool.map(_scan_slice, slices)
     orders = set().union(*(p[0] for p in parts))

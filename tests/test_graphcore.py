@@ -644,10 +644,15 @@ def reference_graph6_rows(text):
 
 def test_graph6_decode_matches_reference_reader():
     rng = random.Random(47)
-    for _ in range(3000):
-        n = rng.randint(0, 14)
-        need = (n * (n - 1) // 2 + 5) // 6
-        text = chr(n + 63) + "".join(chr(rng.randint(63, 126)) for _ in range(need))
+    orders = [rng.randint(0, 14) for _ in range(3000)]
+    orders += [rng.randint(15, 62) for _ in range(300)]
+    for n in orders:
+        width = n * (n - 1) // 2
+        need = (width + 5) // 6
+        vals = [rng.randint(0, 63) for _ in range(need)]
+        if n > 14 and rng.random() < 0.5:
+            vals[-1] &= ~((1 << (6 * need - width)) - 1)  # zero padding
+        text = chr(n + 63) + "".join(chr(x + 63) for x in vals)
         want = reference_graph6_rows(text)
         if want is None:
             with pytest.raises(Graph6Error, match="padding"):
@@ -655,6 +660,22 @@ def test_graph6_decode_matches_reference_reader():
         else:
             g = from_graph6(text)
             assert (g.n, g.adj) == (n, want)
+
+
+def test_graph6_padding_bits_checked_at_every_padding_width():
+    # C(n,2) mod 6 is 0, 1, 3 or 4, so the padding is 0, 5, 3 or 2 bits
+    pads = {n: (-(n * (n - 1) // 2)) % 6 for n in range(2, 63)}
+    assert set(pads.values()) == {0, 2, 3, 5}
+    for pad in (0, 2, 3, 5):
+        for n in [m for m, p in pads.items() if p == pad][:3]:
+            need = (n * (n - 1) // 2 + 5) // 6
+            head = chr(n + 63) + "?" * (need - 1)
+            # the last pair (n-2, n-1) is the bit just above the padding
+            g = from_graph6(head + chr((1 << pad) + 63))
+            assert list(g.edges()) == [(n - 2, n - 1)], (n, pad)
+            for b in range(pad):
+                with pytest.raises(Graph6Error, match="nonzero trailing padding bits"):
+                    from_graph6(head + chr((1 << b) + 63))
 
 
 def test_canonical_graph6_matches_encoded_canonical_form():

@@ -234,7 +234,7 @@ def test_connectivity_matches_brute_force_oracle():
 
 def test_local_connectivity_is_capped_menger_number():
     rng = random.Random(43)
-    for n in range(2, 7):
+    for n in range(2, 8):
         for g in enumerate_connected(n):
             g = relabeled(rng, g)
             for s, t in combinations(range(n), 2):
@@ -246,6 +246,33 @@ def test_local_connectivity_is_capped_menger_number():
                 assert _local_connectivity(split, n, t, s, n) == full
                 for cap in range(n + 1):
                     assert _local_connectivity(split, n, s, t, cap) == min(cap, full)
+
+
+def warm_start_cases():
+    """Graphs whose nonadjacent pairs share many common neighbours: K_{2,m},
+    K_n minus an edge, and wheels (a hub joined to a cycle)."""
+    for m in range(1, 8):
+        yield join(empty_graph(2), empty_graph(m))
+    for n in range(3, 10):
+        yield Graph.from_edges(n, [e for e in combinations(range(n), 2) if e != (0, n - 1)])
+    for m in range(4, 9):
+        yield join(cycle_graph(m), complete_graph(1))
+
+
+def test_local_connectivity_warm_start_is_capped_menger_number():
+    """The warm start routes one path per common neighbour of s and t, up
+    to cap; every cap, below, at and above the common-neighbour count,
+    still gives min(cap, kappa(s, t))."""
+    for g in warm_start_cases():
+        n = g.n
+        split = _split_network(g.adj, n)
+        for s, t in combinations(range(n), 2):
+            if g.has_edge(s, t):
+                continue
+            want = brute_local_connectivity(g, s, t)
+            for cap in range(n + 1):
+                assert _local_connectivity(split, n, s, t, cap) == min(cap, want), (g.adj, s, t, cap)
+                assert _local_connectivity(split, n, t, s, cap) == min(cap, want), (g.adj, t, s, cap)
 
 
 def test_connectivity_at_most_min_degree():

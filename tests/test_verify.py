@@ -454,6 +454,28 @@ def test_hypothesis_hits_match_brute_force_oracle():
         assert scan(7, k).hypothesis_hits == want, (name, k)
 
 
+def test_min_degree_gate_runs_before_st_search(monkeypatch):
+    """kappa >= k implies minimum degree >= k, so the judge rejects a graph
+    of smaller minimum degree before the [s,t] search sees it."""
+    graphs = [g for n in range(1, 8) for g in enumerate_connected(n)]
+    reached = []
+
+    def counting_is_st_graph(g, s, t):
+        reached.append(g)
+        return is_st_graph(g, s, t)
+
+    monkeypatch.setattr(verify, "is_st_graph", counting_is_st_graph)
+    for scan, k in [
+        (verify_main_theorem, 2), (verify_main_theorem, 3),
+        (verify_chvatal_erdos, 2), (verify_chvatal_erdos, 3),
+        (verify_wang_mou, 1), (verify_wang_mou, 2),
+    ]:
+        reached.clear()
+        scan(7, k, graphs=graphs)
+        assert reached, (scan.__name__, k)
+        assert all(min(g.degree(v) for v in range(g.n)) >= k for g in reached), (scan.__name__, k)
+
+
 # -- report plumbing ------------------------------------------------------------------
 
 
