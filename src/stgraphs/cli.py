@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import graphcore, pathengine, predicates, verify
+from . import graphcore, predicates, verify
 
 
 def _load_graph(text: str) -> graphcore.Graph:
@@ -95,6 +95,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_find_path(args) -> int:
+    from . import pathengine  # only find-path runs the rule engine
+
     g = _load_graph(args.graph6)
     try:
         result = pathengine.improve(g, args.u, args.v, k=args.k)

@@ -74,8 +74,8 @@ class Graph:
         """Graph from rows the package built itself, symmetric, loop-free
         and within n; skips the O(n^2) checks of the public constructor."""
         g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "adj", tuple(rows))
+        _set_n(g, n)
+        _set_adj(g, tuple(rows))
         return g
 
     @classmethod
@@ -119,6 +119,13 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, e={self.edge_count})"
+
+
+# Graph._from_rows fills the two slots through their descriptors, bound
+# once here: cheaper than object.__setattr__, and Graph.__setattr__ still
+# refuses every assignment
+_set_n = Graph.n.__set__
+_set_adj = Graph.adj.__set__
 
 
 # -- named families ---------------------------------------------------

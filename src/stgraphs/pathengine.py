@@ -8,24 +8,28 @@ engine either returns a Hamilton path, or stalls with a best-effort
 certificate (a sparse vertex set or a join-partition witness) and
 leaves totality to the exact backtracking fallback.
 
-Every matcher pairs two anchors of the outside vertex, so the engine
-only offers views with at least two; the reversed view of a path is the
-mirror of the forward one.  Each rule records ``min_order``, the fewest
-path vertices its index constraints allow a match on, and the engine
-skips it on shorter paths.  Views are built on demand, in the order the
-rules try them, so a move found on the first view builds only that one.
-Matchers and path checks test bits of the adjacency rows ``g.adj``
-directly.
+Each search for a move indexes the path once: one pass records the
+position of every path vertex and the path's vertex mask.  Every
+matcher pairs two anchors of the outside vertex, so a vertex is offered
+only when its adjacency row meets the path mask in at least two bits;
+its anchors are the positions of those bits, sorted, and the reversed
+view mirrors them.  Views are built on demand, in the order the rules
+try them, so a move found on the first view builds only that one.
+Each rule records ``min_order``, the fewest path vertices its index
+constraints allow a match on, and a table built at import lists, for
+each path order, the rules that can run on it.  The seed path's
+degree levels are computed once per graph.  Matchers and path checks
+test bits of the adjacency rows ``g.adj`` directly.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import sub
 from typing import Callable, NamedTuple, Optional
 
-from .graphcore import Graph, bits, component_masks, mask_of
+from .graphcore import MAX_VERTICES, Graph, bits, component_masks, mask_of
 from .predicates import JoinWitness, exception_witness, hamilton_uv_path
 
 
@@ -61,25 +65,26 @@ class AnchoredPath(NamedTuple):
     """A path together with one outside vertex and its anchor indices.
 
     ``anchors`` lists exactly the path positions adjacent to ``outside``,
-    ascending.  ``rho`` is the largest number of path vertices strictly
-    between consecutive anchors (0 when fewer than two anchors).  A named
-    tuple, since the engine builds one per view.
+    ascending.  A named tuple, since the engine builds one per view.
     """
 
     path: tuple[int, ...]
     outside: int
     anchors: tuple[int, ...]
-    rho: int
+
+    @property
+    def rho(self) -> int:
+        """The largest number of path vertices strictly between
+        consecutive anchors (0 when fewer than two anchors).  No matcher
+        reads it; the engine records it for the view whose move it takes."""
+        a = self.anchors
+        return max(map(sub, a[1:], a)) - 1 if len(a) >= 2 else 0
 
 
 def anchored_path(g: Graph, path, outside: int) -> AnchoredPath:
     path = tuple(path)
     row = g.adj[outside]
-    anchors = tuple([i for i, w in enumerate(path) if (row >> w) & 1])
-    r = 0
-    if len(anchors) >= 2:
-        r = max(map(sub, anchors[1:], anchors)) - 1
-    return AnchoredPath(path, outside, anchors, r)
+    return AnchoredPath(path, outside, tuple([i for i, w in enumerate(path) if (row >> w) & 1]))
 
 
 def anchor(g: Graph, path) -> Optional[AnchoredPath]:
@@ -101,7 +106,7 @@ def anchor(g: Graph, path) -> Optional[AnchoredPath]:
 def _rule_e1(g: Graph, ap: AnchoredPath):
     """Insert y between consecutive neighbors, or rotate a segment when
     the successors of two anchors are adjacent; both lengthen the path."""
-    p, y, A = ap.path, ap.outside, ap.anchors
+    p, y, A = ap
     adj = g.adj
     last = len(p) - 1
     aset = set(A)
@@ -119,30 +124,26 @@ def _rule_e1(g: Graph, ap: AnchoredPath):
 def _rule_h1(g: Graph, ap: AnchoredPath):
     """Crossing completion between two anchors a < b: a chord pair into
     the (a,b) segment reroutes everything through y."""
-    p, y, A = ap.path, ap.outside, ap.anchors
+    p, y, A = ap
     adj = g.adj
     last = len(p) - 1
-    for ai, a in enumerate(A):
+    for ai in range(len(A) - 1):
+        a = A[ai]
+        ra = adj[p[a + 1]]
         for b in A[ai + 1 :]:
             if b >= last:
-                continue
-            ra, rb = adj[p[a + 1]], adj[p[b + 1]]
+                break  # the anchors ascend
+            rb = adj[p[b + 1]]
             for t in range(a + 1, b):
                 if (ra >> p[t + 1]) & 1 and (rb >> p[t]) & 1:
-                    return (
-                        p[: a + 1]
-                        + (y,)
-                        + p[t + 1 : b + 1][::-1]
-                        + p[a + 1 : t + 1]
-                        + p[b + 1 :]
-                    )
+                    return p[: a + 1] + (y,) + p[b:t:-1] + p[a + 1 : t + 1] + p[b + 1 :]
     return None
 
 
 def _rule_h2(g: Graph, ap: AnchoredPath):
     """Left-hook completion: a chord from before anchor a into the (a,b)
     segment whose successor reaches past b."""
-    p, y, A = ap.path, ap.outside, ap.anchors
+    p, y, A = ap
     adj = g.adj
     last = len(p) - 1
     for ai, a in enumerate(A):
@@ -168,7 +169,7 @@ def _rule_h2(g: Graph, ap: AnchoredPath):
 def _rule_h3(g: Graph, ap: AnchoredPath):
     """Right-hook completion: a chord from before anchor a into the tail
     after anchor b whose successor reaches back before b."""
-    p, y, A = ap.path, ap.outside, ap.anchors
+    p, y, A = ap
     adj = g.adj
     last = len(p) - 1
     for ai, a in enumerate(A):
@@ -192,7 +193,7 @@ def _rule_h3(g: Graph, ap: AnchoredPath):
 def _rule_e3(g: Graph, ap: AnchoredPath):
     """Chord-detour extensions around an anchor a whose predecessor has
     two consecutive path neighbors w, w+1; eight routing variants."""
-    p, y, A = ap.path, ap.outside, ap.anchors
+    p, y, A = ap
     adj = g.adj
     last = len(p) - 1
     aset = set(A)
@@ -281,7 +282,7 @@ def _rule_e3(g: Graph, ap: AnchoredPath):
 def _rule_h4(g: Graph, ap: AnchoredPath):
     """Completions available once two consecutive anchors sit exactly one
     apart (a single gap vertex)."""
-    p, y, A = ap.path, ap.outside, ap.anchors
+    p, y, A = ap
     adj = g.adj
     last = len(p) - 1
     for j in range(len(A) - 1):
@@ -344,7 +345,7 @@ def _rule_h5(g: Graph, ap: AnchoredPath):
     """Completions for the all-gaps-at-least-two regime: hook moves around
     a consecutive anchor pair, the two small-order endgames, and the six
     three-anchor table rewirings."""
-    p, y, A = ap.path, ap.outside, ap.anchors
+    p, y, A = ap
     adj = g.adj
     last = len(p) - 1
     aset = set(A)
@@ -481,6 +482,12 @@ RULE_CATALOG: tuple[RewriteRule, ...] = (
 
 RULES_BY_ID = {r.id: r for r in RULE_CATALOG}
 
+# _RULES_BY_ORDER[m]: the rules, in catalog order, that can match a path
+# of m vertices, for every order a graph allows
+_RULES_BY_ORDER = tuple(
+    tuple(r for r in RULE_CATALOG if r.min_order <= m) for m in range(MAX_VERTICES + 1)
+)
+
 
 def apply_rule(g: Graph, ap: AnchoredPath, rule: RewriteRule):
     """Run one rule against an anchored path; validated result or None.
@@ -502,8 +509,7 @@ def apply_rule(g: Graph, ap: AnchoredPath, rule: RewriteRule):
 # -- the improvement engine ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class MoveRecord:
+class MoveRecord(NamedTuple):
     rule_id: str
     length_before: int
     length_after: int
@@ -530,12 +536,30 @@ class Certificate:
         return f"sparse-set {list(self.vertices)}"
 
 
-@dataclass(frozen=True)
-class EngineResult:
+class EngineResult(NamedTuple):
     outcome: str  # hamilton-path | stalled
     path: tuple[int, ...] | None
     certificate: Certificate | None
-    trace: tuple[MoveRecord, ...] = field(default=())
+    trace: tuple[MoveRecord, ...] = ()
+
+
+# (adjacency rows, degree levels) of the last graph _seed_path saw: the
+# engine runs every pair of a graph in turn, so one entry serves them all
+_last_levels: tuple = ((), ())
+
+
+def _degree_levels(adj: tuple[int, ...]) -> tuple[int, ...]:
+    """Masks of the vertices of each degree that occurs, highest first."""
+    global _last_levels
+    key, levels = _last_levels
+    if adj == key:
+        return levels
+    by_degree = [0] * len(adj)  # by_degree[d]: mask of the vertices of degree d
+    for w, row in enumerate(adj):
+        by_degree[row.bit_count()] |= 1 << w
+    levels = tuple([m for m in reversed(by_degree) if m])
+    _last_levels = (adj, levels)
+    return levels
 
 
 def _seed_path(g: Graph, u: int, v: int):
@@ -543,10 +567,7 @@ def _seed_path(g: Graph, u: int, v: int):
     closing into v; falls back to a breadth-first (u,v)-path.  None when
     v is unreachable."""
     adj = g.adj
-    by_degree = [0] * g.n  # by_degree[d]: mask of the vertices of degree d
-    for w, row in enumerate(adj):
-        by_degree[row.bit_count()] |= 1 << w
-    levels = [m for m in reversed(by_degree) if m]
+    levels = _degree_levels(adj)
     free = g.full_mask() & ~(1 << u) & ~(1 << v)
     seq = [u]
     cur = u
@@ -563,6 +584,8 @@ def _seed_path(g: Graph, u: int, v: int):
         free ^= 1 << cur
     if (adj[cur] >> v) & 1:
         return tuple(seq) + (v,)
+    if (adj[u] >> v) & 1:
+        return (u, v)  # the breadth-first search's first expansion reaches v
     parent = {u: None}
     seen = 1 << u
     queue = deque([u])
@@ -587,44 +610,64 @@ def _find_move(g: Graph, path: tuple[int, ...]):
     reverse for every outside vertex.  Returns (rule_id, new_path,
     rho_before, rho_after) or None.
 
-    Views are tried forward first, outside vertices ascending, then
-    reversed in the same order; the reversed view mirrors the forward one
-    (anchor i becomes last - i, rho is unchanged).  A view is built when
-    the first rule reaches it and kept for the later rules, so a move
-    found early builds few views.  Outside vertices with fewer than two
-    path neighbours get no view, and a rule is not run on a path shorter
-    than its ``min_order``: neither can match.  rho after a move is that
-    of the one remaining outside vertex, or 0 when none or several
-    remain."""
+    One pass over the path fills the position index ``pos`` and the path
+    mask.  An outside vertex y gets a view only when ``hit``, its row
+    masked to the path, has at least two bits: no matcher runs on fewer
+    anchors.  Views are tried forward first, outside vertices ascending,
+    then reversed in the same order.  A forward view is built when the
+    first rule reaches it, its anchors being the positions of the bits
+    of ``hit``, sorted; the reversed view mirrors them (anchor i becomes
+    last - i, rho is unchanged).  Views are kept for the later rules, so
+    a move found early builds few views.  Only the rules whose
+    ``min_order`` the path reaches run, as listed by ``_RULES_BY_ORDER``.
+    Every match goes through ``apply_rule``, looked up as a module global
+    on each call, so a wrapper bound to that name (the benchmark's
+    tracer) sees every call.  rho is computed for the view
+    whose move is taken; rho after a move is that of the one remaining
+    outside vertex, or 0 when none or several remain."""
+    adj, n = g.adj, g.n
     n_path = len(path)
     last = n_path - 1
-    adj = g.adj
-    path_mask = mask_of(path)
-    rest = g.full_mask() & ~path_mask
-    outside = [y for y in bits(rest) if (adj[y] & path_mask).bit_count() >= 2]
+    pos = [0] * n
+    path_mask = 0
+    for i, w in enumerate(path):
+        pos[w] = i
+        path_mask |= 1 << w
+    outside = []  # (y, hit) for each outside vertex with two path neighbours
+    rest = ((1 << n) - 1) ^ path_mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        y = low.bit_length() - 1
+        hit = adj[y] & path_mask
+        if hit & (hit - 1):
+            outside.append((y, hit))
     n_forward = len(outside)
     views: list[AnchoredPath] = []
-
-    def view(i: int) -> AnchoredPath:
-        if i == len(views):
-            if i < n_forward:
-                views.append(anchored_path(g, path, outside[i]))
-            else:
-                ap = views[i - n_forward]
-                mirrored = tuple([last - a for a in reversed(ap.anchors)])
-                views.append(AnchoredPath(path[::-1], ap.outside, mirrored, ap.rho))
-        return views[i]
-
-    for rule in RULE_CATALOG:
-        if n_path < rule.min_order:
-            continue
+    for rule in _RULES_BY_ORDER[n_path]:
         for i in range(2 * n_forward):
-            ap = view(i)
+            if i < len(views):
+                ap = views[i]
+            elif i < n_forward:
+                y, hit = outside[i]
+                anchors = []
+                while hit:
+                    low = hit & -hit
+                    hit ^= low
+                    anchors.append(pos[low.bit_length() - 1])
+                anchors.sort()
+                ap = AnchoredPath(path, y, tuple(anchors))
+                views.append(ap)
+            else:
+                fwd = views[i - n_forward]
+                mirrored = tuple([last - a for a in reversed(fwd.anchors)])
+                ap = AnchoredPath(path[::-1], fwd.outside, mirrored)
+                views.append(ap)
             seq = apply_rule(g, ap, rule)
             if seq is None:
                 continue
             new_path = seq[::-1] if i >= n_forward else seq
-            new_rho = anchor(g, new_path).rho if g.n - len(new_path) == 1 else 0
+            new_rho = anchor(g, new_path).rho if n - len(new_path) == 1 else 0
             return rule.id, new_path, ap.rho, new_rho
     return None
 
@@ -699,9 +742,10 @@ def improve(g: Graph, u: int, v: int, k: int | None = None) -> EngineResult:
     Raises ValueError on bad endpoints or k < 1, and NoPathError (a
     ValueError) when u and v are not connected.
     """
+    n = g.n
     if u == v:
         raise ValueError("endpoints must differ")
-    if not (0 <= u < g.n and 0 <= v < g.n):
+    if not (0 <= u < n and 0 <= v < n):
         raise ValueError("endpoints out of range")
     if k is not None and k < 1:
         raise ValueError("k must be at least 1")
@@ -709,16 +753,14 @@ def improve(g: Graph, u: int, v: int, k: int | None = None) -> EngineResult:
     if path is None:
         raise NoPathError(f"no ({u},{v})-path exists")
     trace: list[MoveRecord] = []
-    while len(path) < g.n:
+    while len(path) < n:
         move = _find_move(g, path)
         if move is None:
             break
         rule_id, new_path, rho_before, rho_after = move
-        trace.append(
-            MoveRecord(rule_id, len(path), len(new_path), rho_before, rho_after)
-        )
+        trace.append(MoveRecord(rule_id, len(path), len(new_path), rho_before, rho_after))
         path = new_path
-    if len(path) == g.n:
+    if len(path) == n:
         return EngineResult("hamilton-path", path, None, tuple(trace))
     return EngineResult("stalled", path, _extract_certificate(g, path, k), tuple(trace))
 

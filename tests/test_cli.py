@@ -346,6 +346,22 @@ def test_cli_import_does_not_load_multiprocessing():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_import_does_not_load_pathengine():
+    # only find-path runs the rule engine, so only it imports pathengine
+    src = str(Path(stgraphs.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, stgraphs.cli; print('stgraphs.pathengine' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 # the ten nmax-8 theorem scans; their report lines are pinned by one digest,
 # so a refactor of the judges must leave every REPORT line byte-identical
 GOLDEN_SCANS = (

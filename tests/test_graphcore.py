@@ -209,6 +209,20 @@ def test_connected_components():
             assert is_connected(g) == (len(connected_components(g)) <= 1)
 
 
+def test_from_rows_matches_public_constructor():
+    # the trusted constructor fills the slots without the checks, and the
+    # graph it makes is still equal, equally hashed and immutable
+    for g in (petersen_graph(), empty_graph(0), complete_graph(5), cycle_graph(7)):
+        fast = Graph._from_rows(g.n, list(g.adj))
+        assert type(fast) is Graph
+        assert fast == Graph(g.n, g.adj) and hash(fast) == hash(g)
+        assert fast.n == g.n and fast.adj == g.adj and type(fast.adj) is tuple
+        for name, value in (("n", 3), ("adj", ()), ("other", 0)):
+            with pytest.raises(AttributeError):
+                setattr(fast, name, value)
+        assert fast == g
+
+
 def test_graph_pickles():
     for g in (petersen_graph(), empty_graph(0), complete_graph(5)):
         assert pickle.loads(pickle.dumps(g)) == g

@@ -1,10 +1,11 @@
 import hashlib
 import random
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
+from stgraphs import pathengine
 from stgraphs.graphcore import (
     Graph,
     bits,
@@ -20,6 +21,8 @@ from stgraphs.pathengine import (
     RULES_BY_ID,
     AnchoredPath,
     NoPathError,
+    RewriteRule,
+    RuleTranscriptionError,
     _find_move,
     _seed_path,
     anchor,
@@ -213,6 +216,30 @@ def test_rule_positive_instance(rule_id, g, path, y, expected):
 def test_rule_negative_instance(rule_id, g, path, y):
     ap = anchored_path(g, path, y)
     assert apply_rule(g, ap, RULES_BY_ID[rule_id]) is None
+
+
+@pytest.mark.parametrize(
+    "bad_seq, message",
+    [
+        ((0, 2, 1, 3), "invalid sequence"),  # 0-2 is no edge
+        ((0, 4, 3), "invalid sequence"),  # 0-4 is no edge
+        ((0, 1, 1, 4, 2, 3), "invalid sequence"),  # a repeated vertex
+        ((0, 1, 2, 3), "failed to lengthen"),  # valid, as long as the path
+        ((0, 3), "failed to lengthen"),  # valid, shorter than the path
+    ],
+)
+def test_apply_rule_rejects_bad_transcriptions(monkeypatch, bad_seq, message):
+    # a matcher that returns an invalid or non-lengthening sequence is a
+    # transcription bug: apply_rule raises, and so does the engine's move
+    # search, which runs every match through apply_rule
+    g = path_plus(5, [(0, 3)], [1, 2])
+    ap = anchored_path(g, (0, 1, 2, 3), 4)
+    bad = RewriteRule("BAD", lambda g, ap: bad_seq, 2)
+    with pytest.raises(RuleTranscriptionError, match=message):
+        apply_rule(g, ap, bad)
+    monkeypatch.setattr(pathengine, "_RULES_BY_ORDER", ((bad,),) * (len(ap.path) + 1))
+    with pytest.raises(RuleTranscriptionError, match=message):
+        _find_move(g, ap.path)
 
 
 def test_every_cataloged_rule_has_instances():
@@ -537,7 +564,7 @@ def _reference_find_move(g, path):
             continue
         mirrored = tuple([last - i for i in reversed(ap.anchors)])
         forward.append((False, ap))
-        backward.append((True, AnchoredPath(rev, y, mirrored, ap.rho)))
+        backward.append((True, AnchoredPath(rev, y, mirrored)))
     views = forward + backward
     for rule in RULE_CATALOG:
         for reversed_base, ap in views:
@@ -565,6 +592,21 @@ def test_find_move_matches_eager_reference():
                 outside_counts[n - len(path)] += 1
     assert moves[None] > 0, moves  # stalls
     assert all(outside_counts[m] > 1000 for m in range(1, 6)), outside_counts
+    # the engine's hot inputs: the seed of every pair, short and with many
+    # vertices outside
+    seed_moves, seed_outside = Counter(), Counter()
+    for n in range(3, 7):
+        for g in enumerate_connected(n):
+            for u, v in permutations(range(n), 2):
+                path = _seed_path(g, u, v)
+                if len(path) == n:
+                    continue
+                want = _reference_find_move(g, path)
+                assert _find_move(g, path) == want, (g.adj, path)
+                seed_moves[want[0] if want else None] += 1
+                seed_outside[n - len(path)] += 1
+    assert all(seed_outside[m] > 500 for m in range(1, 5)), seed_outside
+    assert all(seed_moves[r] > 0 for r in (None, "E1", "H1", "H2")), seed_moves
 
 
 def _reference_seed_path(g, u, v):
@@ -599,12 +641,18 @@ def _reference_seed_path(g, u, v):
 
 
 def test_seed_path_matches_reference():
-    for n in range(2, 7):
+    stuck_next_to_v = 0  # pairs answered by the bare edge after a stuck walk
+    for n in range(2, 8):
         for g in enumerate_connected(n):
             for u in range(n):
                 for v in range(n):
                     if u != v:
-                        assert _seed_path(g, u, v) == _reference_seed_path(g, u, v)
+                        got = _seed_path(g, u, v)
+                        assert got == _reference_seed_path(g, u, v)
+                        # a walk that leaves u and closes into v is longer
+                        # than the edge, so this edge follows a stuck walk
+                        stuck_next_to_v += got == (u, v) and g.adj[u] != 1 << v
+    assert stuck_next_to_v > 0
     g = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
     assert _seed_path(g, 0, 4) is None and _reference_seed_path(g, 0, 4) is None
     assert _seed_path(g, 2, 0) == (2, 1, 0)
