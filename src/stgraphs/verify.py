@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import or_
 from typing import Callable
 
 from .graphcore import (
@@ -22,6 +24,7 @@ from .graphcore import (
     _canonical_search,
     _degree_cells,
     _graph6_of_code,
+    _orbit_closure,
     _refine_split,
     automorphism_generators,
     bits,
@@ -31,6 +34,7 @@ from .graphcore import (
     from_graph6,
     is_connected,
     marked_label,
+    mask_of,
     to_graph6,
 )
 from .predicates import (
@@ -52,17 +56,27 @@ _level_cache: dict[int, tuple[str, ...]] = {}
 
 
 def _parent_cuts(parent: Graph):
-    """Degrees of the parent and, for each vertex v, the component masks
-    of parent - v: what decides the cut vertices of every child."""
+    """What decides the degrees and cut vertices of every child of parent,
+    as masks: eq[d] holds the vertices of degree d and le[d] those of
+    degree <= d (d = 0..n), cut the parent's cut vertices, and comps[v],
+    for each cut vertex v, the component masks of parent - v."""
     full = parent.full_mask()
-    degs = [row.bit_count() for row in parent.adj]
-    return degs, [component_masks(parent.adj, full & ~(1 << v)) for v in range(parent.n)]
+    eq = [0] * (parent.n + 1)
+    for v, row in enumerate(parent.adj):
+        eq[row.bit_count()] |= 1 << v
+    le = list(accumulate(eq, or_))
+    comps = {}
+    for v in range(parent.n):
+        parts = component_masks(parent.adj, full & ~(1 << v))
+        if len(parts) > 1:
+            comps[v] = parts
+    return eq, le, mask_of(comps), comps
 
 
-def _canonical_augmentation(parent: Graph, degs, comps, smask: int):
+def _canonical_augmentation(parent: Graph, cuts, smask: int):
     """The child of parent with a new vertex z = parent.n joined to the
-    vertices of smask, with the start of its canonical search (see
-    _canonical_search), if canonical augmentation accepts it, else None.
+    vertices of smask, with its canonical code (see _canonical_search),
+    if canonical augmentation accepts it, else None.
 
     The child is accepted iff z is a canonical choice among deletable
     vertices.  Deletable means non-cut; z always is, because the parent
@@ -71,59 +85,76 @@ def _canonical_augmentation(parent: Graph, degs, comps, smask: int):
     (an isomorphism invariant) and then the vertex-marked canonical
     label, so isomorphic children accept exactly one deletion orbit.
 
-    Refinement only splits cells in place and the initial cells are
-    sorted by degree, so a vertex of smaller degree always has a smaller
-    cell index.  Hence, with d = deg(z): a deletable vertex of degree
-    < d rejects the child outright, vertices of degree > d never matter,
-    and refinement is needed only when another deletable vertex (a
-    rival) has degree d.  This decides the same acceptance as comparing
-    cell indices over all deletable vertices.  A rival in a cell before
-    z's rejects the child, and one in z's cell is compared by marked
-    label.
+    Mask filter.  Refinement only splits cells in place and the initial
+    cells are sorted by degree, so a vertex of smaller degree always has
+    a smaller cell index.  Hence, with d = deg(z): a deletable vertex of
+    degree < d rejects the child outright, vertices of degree > d never
+    matter, and refinement is needed only when another deletable vertex
+    (a rival) has degree d.  A parent vertex v has child degree < d iff
+    its parent degree is <= d - 2, or d - 1 with v outside smask, and
+    degree d iff its parent degree is d - 1 with v in smask, or d with v
+    outside it; cuts (see _parent_cuts) gives these sets as masks.
+    child - v is connected iff smask - v meets every component of
+    parent - v.  A non-cut v of child degree <= d always passes: smask
+    is {v} only when d = 1, and then v has child degree 1 only when the
+    parent is {v}, where child - v is {z}.  So only cut vertices walk
+    their components.
 
-    Degrees and cuts come from the parent (see _parent_cuts): for v in
-    the parent, child - v is connected iff smask - v meets every
-    component of parent - v, and child - v is {z} when the parent is
-    {v}.  The child is built only when no deletable vertex of smaller
-    degree rejects it.
+    Orbit step.  A rival in a cell before z's rejects the child.  When
+    rivals are left in z's cell, the child's one canonical search runs
+    from the refined partition and records automorphisms of the child:
+    a rival in the orbit of z under them has z's marked label and is
+    dropped.  The marked-label comparison then runs only for the rivals
+    left, which an incomplete generator set merely leaves more of.
 
-    The start returned is None (the search starts from the degree
-    partition) when there were no rivals, and otherwise the refined
-    partition with no splitters.  That is the partition the search's
-    root refines to either way, so the search gives the same code
-    without repeating the refinement.
+    The code is that of a search from the degree partition, or from the
+    refined partition with no splitters once the child was refined: the
+    partition the search's root refines to either way.  So each accepted
+    child is searched exactly once, and a child rejected at the
+    marked-label comparison once.
     """
+    eq, le, cut, comps = cuts
     m = parent.n
     d = smask.bit_count()
-    rivals = 0
-    for v in range(m):
-        dv = degs[v] + ((smask >> v) & 1)
-        if dv <= d and all(c & smask for c in comps[v]):
-            if dv < d:
-                return None
+    lower = eq[d - 1] & ~smask
+    if d > 1:
+        lower |= le[d - 2]
+    if lower & ~cut:
+        return None
+    for v in bits(lower):
+        if all(c & smask for c in comps[v]):
+            return None
+    ties = (eq[d - 1] & smask) | (eq[d] & ~smask)
+    rivals = ties & ~cut
+    for v in bits(ties & cut):
+        if all(c & smask for c in comps[v]):
             rivals |= 1 << v
-    rows = [parent.adj[v] | (((smask >> v) & 1) << m) for v in range(m)]
+    zbit = 1 << m
+    rows = [row | zbit if (smask >> v) & 1 else row for v, row in enumerate(parent.adj)]
     rows.append(smask)
     child = Graph._from_rows(m + 1, rows)
     if not rivals:
-        return child, None
+        return child, _canonical_search(m + 1, rows)[0]
     cells = _degree_cells(rows, [row.bit_count() for row in rows])
     cells = _refine_split(rows, cells, cells[:-1])
     before = 0
     for cz in cells:
-        if (cz >> m) & 1:
+        if cz & zbit:
             break
         before |= cz
     if rivals & before:
         return None
-    start = cells, []
     rivals &= cz
     if not rivals:
-        return child, start
-    lz = marked_label(child, m)
-    if all(marked_label(child, v) >= lz for v in bits(rivals)):
-        return child, start
-    return None
+        return child, _canonical_search(m + 1, rows, (cells, []))[0]
+    gens: list[list[int]] = []
+    code, _ = _canonical_search(m + 1, rows, (cells, []), gens)
+    rivals &= ~_orbit_closure(zbit, gens)
+    if rivals:
+        lz = marked_label(child, m)
+        if any(marked_label(child, v) < lz for v in bits(rivals)):
+            return None
+    return child, code
 
 
 def _mask_tables(perm):
@@ -162,13 +193,15 @@ def _grow_level(parents: tuple[str, ...]) -> tuple[str, ...]:
     Attachment masks are tried in ascending order, one per orbit of the
     parent's automorphism group: a mask g(S) with g an automorphism gives
     a child isomorphic to S's with z fixed, so the same acceptance and
-    the same label.  Each accepted child is labeled by one canonical
-    search from the partition its acceptance test refined, and its
-    graph6 is written from the code."""
+    the same label.  Each mask passes the parent's degree and cut masks,
+    then at most one canonical search of the child, then the marked-label
+    fallback (see _canonical_augmentation); an accepted child's graph6
+    is written from the code that search returned."""
     out: list[str] = []
     for parent_g6 in parents:
         parent = from_graph6(parent_g6)
-        degs, comps = _parent_cuts(parent)
+        n = parent.n + 1
+        cuts = _parent_cuts(parent)
         tables = [_mask_tables(g) for g in automorphism_generators(parent)]
         seen = bytearray(1 << parent.n)
         children: set[str] = set()
@@ -176,11 +209,9 @@ def _grow_level(parents: tuple[str, ...]) -> tuple[str, ...]:
             if seen[smask]:
                 continue
             _mark_orbit(seen, smask, tables)
-            accepted = _canonical_augmentation(parent, degs, comps, smask)
+            accepted = _canonical_augmentation(parent, cuts, smask)
             if accepted is not None:
-                child, start = accepted
-                code, _ = _canonical_search(child.n, child.adj, start)
-                children.add(_graph6_of_code(child.n, code))
+                children.add(_graph6_of_code(n, accepted[1]))
         # the children share one order, so graph6 text sorts as the label does
         out.extend(sorted(children))
     return tuple(out)

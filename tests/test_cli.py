@@ -309,6 +309,17 @@ def test_gen_feeds_verify_input(capsys, tmp_path):
     assert "scanned=6" in out
 
 
+@pytest.mark.slow
+def test_gen_order_nine_pinned(capsys):
+    """The level-9 text: one graph6 per line, each line ending in a newline."""
+    code, out = run_cli(capsys, "gen", "--n", "9")
+    assert code == 0
+    assert out.count("\n") == 261080 and out.endswith("\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f3727f3d98e34033c468a266bb1281d16d2e7e8e260e233484ea748b072901ba"
+    )
+
+
 @pytest.mark.parametrize("argv", [["gen", "--n", "0"], ["gen", "--n", "11"]])
 def test_gen_range_errors(capsys, argv):
     code, _ = run_cli(capsys, *argv)

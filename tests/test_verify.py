@@ -2,13 +2,13 @@ import hashlib
 import random
 from dataclasses import replace
 from itertools import combinations, permutations
+from math import comb, factorial
 
 import pytest
 
 from stgraphs.graphcore import (
     Graph,
     Graph6Error,
-    _degree_cells,
     _refine_split,
     automorphism_generators,
     bits,
@@ -43,6 +43,7 @@ from stgraphs.verify import (
     _parent_cuts,
     _worker_count,
     brute_force_connected,
+    connected_graph6,
     enumerate_connected,
     min_size_search,
     read_graph6_lines,
@@ -84,14 +85,10 @@ def test_enumerate_connected_range_errors():
         list(enumerate_connected(11))
 
 
-def refined_degree_cells(g):
-    masks = _degree_cells(g.adj, [g.degree(v) for v in range(g.n)])
-    return _refine_split(g.adj, masks, masks)
-
-
-def reference_augmentation(child):
-    """The acceptance rule by its definition: over all non-cut vertices,
-    minimize the refined cell index, then the vertex-marked label."""
+def reference_ties(child):
+    """The acceptance rule by its definition, up to the tie-break: over all
+    non-cut vertices, z must have the smallest refined cell index.  None
+    when it has not, else the other non-cut vertices of z's cell."""
     n = child.n
     z = n - 1
     full = (1 << n) - 1
@@ -104,32 +101,106 @@ def reference_augmentation(child):
     cell_of = {v: i for i, cell in enumerate(cells) for v in bits(cell)}
     cmin = min(cell_of[v] for v in deletable)
     if cell_of[z] != cmin:
+        return None
+    return [v for v in deletable if cell_of[v] == cmin and v != z]
+
+
+def reference_augmentation(child):
+    """The acceptance rule by its definition: over all non-cut vertices,
+    minimize the refined cell index, then the vertex-marked label."""
+    ties = reference_ties(child)
+    if ties is None:
         return False
-    lz = marked_label(child, z)
-    return all(
-        marked_label(child, v) >= lz for v in deletable if cell_of[v] == cmin and v != z
-    )
+    lz = marked_label(child, child.n - 1)
+    return all(marked_label(child, v) >= lz for v in ties)
 
 
-def test_augmentation_matches_reference_definition():
-    children = accepted = 0
+def is_automorphism(g, perm):
+    return all(permute_mask_by_bits(perm, g.adj[v]) == g.adj[perm[v]] for v in range(g.n))
+
+
+def test_augmentation_matches_reference_definition(monkeypatch):
+    # the generator lists growth hands its child searches, one per call
+    searches = []
+    search = verify._canonical_search
+
+    def recording(n, adj, start=None, gens=None):
+        searches.append(gens)
+        return search(n, adj, start, gens)
+
+    monkeypatch.setattr(verify, "_canonical_search", recording)
+    children = accepted = tie_breaks = orbit_settled = 0
     for m in range(1, 7):
         for parent in enumerate_connected(m):
-            degs, comps = _parent_cuts(parent)
+            cuts = _parent_cuts(parent)
             for smask in range(1, 1 << m):
                 rows = [parent.adj[v] | (((smask >> v) & 1) << m) for v in range(m)]
                 child = Graph(m + 1, rows + [smask])
-                got = _canonical_augmentation(parent, degs, comps, smask)
+                searches.clear()
+                got = _canonical_augmentation(parent, cuts, smask)
                 assert (got is not None) == reference_augmentation(child), to_graph6(child)
                 if got is not None:
                     assert got[0] == child
-                    start = got[1]
-                    if start is not None:
-                        # the refined degree partition, no splitters left
-                        assert start == (refined_degree_cells(child), [])
+                    # the returned code is the child's label searched from scratch
+                    assert got[1] == search(child.n, child.adj)[0]
+                # one search per accepted child, and one per child that
+                # reaches the marked-label tie-break, recording generators
+                ties = reference_ties(child)
+                if ties:
+                    # the orbit step: recorded generators are automorphisms,
+                    # and z's orbit under them shares z's marked label
+                    [gens] = searches
+                    assert gens is not None
+                    assert all(is_automorphism(child, g) for g in gens)
+                    z = child.n - 1
+                    orbit = verify._orbit_closure(1 << z, gens)
+                    lz = marked_label(child, z)
+                    assert all(marked_label(child, v) == lz for v in bits(orbit))
+                    tie_breaks += 1
+                    orbit_settled += not mask_of(ties) & ~orbit
+                else:
+                    assert searches == ([] if got is None else [None])
                 children += 1
                 accepted += got is not None
     assert children == 7815 and 0 < accepted < children
+    assert 0 < orbit_settled < tie_breaks
+
+
+def test_growth_search_counts_pinned(monkeypatch):
+    """Growing levels 2..8 searches each accepted child once, plus each
+    child the marked-label fallback rejects; the orbit step leaves the
+    fallback few rivals, yet it still rejects some children."""
+    counts = dict.fromkeys(("marked", "searches", "accepted", "fallback_rejects"), 0)
+    marked, search, augment = (
+        verify.marked_label, verify._canonical_search, verify._canonical_augmentation
+    )
+
+    def counting_marked(*args):
+        counts["marked"] += 1
+        return marked(*args)
+
+    def counting_search(*args):
+        counts["searches"] += 1
+        return search(*args)
+
+    def counting_augment(*args):
+        before = counts["marked"]
+        got = augment(*args)
+        if got is not None:
+            counts["accepted"] += 1
+        elif counts["marked"] > before:
+            counts["fallback_rejects"] += 1
+        return got
+
+    monkeypatch.setattr(verify, "marked_label", counting_marked)
+    monkeypatch.setattr(verify, "_canonical_search", counting_search)
+    monkeypatch.setattr(verify, "_canonical_augmentation", counting_augment)
+    monkeypatch.setattr(verify, "_level_cache", {})
+    verify._connected_level(8)
+    assert counts == {
+        "marked": 134, "searches": 12136, "accepted": 12112, "fallback_rejects": 24,
+    }
+    assert counts["searches"] == counts["accepted"] + counts["fallback_rejects"]
 
 
 def permute_mask_by_bits(perm, mask):
@@ -188,6 +259,61 @@ def test_connected_level_8_pinned():
     assert hashlib.sha256("\n".join(level).encode()).hexdigest() == (
         "4e53f6e9c882014277e42beac3b02b2c191a080e0019f28c0ca1e40625b64982"
     )
+
+
+def labeled_connected_counts(n_max):
+    """A001187 by c_n = 2^C(n,2) - sum_{k<n} C(n-1,k-1) c_k 2^C(n-k,2)."""
+    c = {}
+    for n in range(1, n_max + 1):
+        c[n] = 2 ** comb(n, 2) - sum(
+            comb(n - 1, k - 1) * c[k] * 2 ** comb(n - k, 2) for k in range(1, n)
+        )
+    return c
+
+
+def generated_group_order(n, gens):
+    """Order of the permutation group gens generates, by closing the
+    identity under composition with each generator."""
+    identity = tuple(range(n))
+    group = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                q = tuple(g[x] for x in p)
+                if q not in group:
+                    group.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return len(group)
+
+
+def labeled_mass(n):
+    """Sum of n!/|Aut G| over the generated classes of order n."""
+    mass = 0
+    for g6 in connected_graph6(n):
+        order = generated_group_order(n, automorphism_generators(from_graph6(g6)))
+        assert factorial(n) % order == 0, g6
+        mass += factorial(n) // order
+    return mass
+
+
+def test_mass_formula_matches_labeled_connected_counts():
+    """Orbit-stabilizer: each class of order n has n!/|Aut| labelings, so
+    the classes growth emits sum to the labeled connected count.  A
+    missing or repeated class, or generators short of the whole group,
+    breaks the sum."""
+    counts = labeled_connected_counts(8)
+    assert list(counts.values()) == [1, 1, 4, 38, 728, 26704, 1866256, 251548592]
+    for n in range(1, 9):
+        assert labeled_mass(n) == counts[n], n
+
+
+@pytest.mark.slow
+def test_mass_formula_order_nine():
+    assert labeled_connected_counts(9)[9] == 66296291072
+    assert labeled_mass(9) == 66296291072
 
 
 def test_brute_force_examples():
