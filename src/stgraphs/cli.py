@@ -168,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph6")
     p.add_argument("--u", type=int, required=True)
     p.add_argument("--v", type=int, required=True)
-    p.add_argument("--k", type=int, default=None, help="certificate size parameter")
+    p.add_argument("--k", type=int, default=None, help="hypothesis k of a stall certificate")
     p.add_argument("--trace", action="store_true", help="print accepted moves")
     p.set_defaults(func=_cmd_find_path)
 

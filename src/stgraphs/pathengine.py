@@ -4,9 +4,12 @@ A (u,v)-path is improved by a fixed catalog of rewirings: completions
 that absorb the missing vertex into a spanning path, and extensions that
 insert an outside vertex.  Every move lengthens the path, so the engine
 makes at most n moves.  The catalog is not claimed complete, so the
-engine either returns a Hamilton path, or stalls with a best-effort
-certificate (a sparse vertex set or a join-partition witness) and
-leaves totality to the exact backtracking fallback.
+engine either returns a Hamilton path or stalls, and leaves totality to
+the exact backtracking fallback.  A stall carries a certificate against
+the paper's hypothesis or its exception only when one exists: the join
+witness of kK1 v G_k (order 2k) when a side of it refutes the pair by
+counting, else, given k, a (k+1)-set with at most one edge, found by
+the exact [k+1,2] search, so G is not a [k+1,2]-graph; else none.
 
 Each search for a move indexes the path once: one pass records the
 position of every path vertex and the path's vertex mask.  Every
@@ -30,7 +33,7 @@ from operator import sub
 from typing import Callable, NamedTuple, Optional
 
 from .graphcore import MAX_VERTICES, Graph, bits, component_masks, mask_of
-from .predicates import JoinWitness, exception_witness, hamilton_uv_path
+from .predicates import JoinWitness, hamilton_uv_path, join_witness, sparsest_induced_set
 
 
 class RuleTranscriptionError(RuntimeError):
@@ -525,7 +528,7 @@ class MoveRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class Certificate:
-    kind: str  # sparse-set | join-witness
+    kind: str  # join-witness (refutes the pair) | sparse-set (k+1 vertices, <= 1 edge)
     vertices: tuple[int, ...] = ()
     witness: JoinWitness | None = None
 
@@ -672,47 +675,10 @@ def _find_move(g: Graph, path: tuple[int, ...]):
     return None
 
 
-def _induced_edge_count(g: Graph, vertices) -> int:
-    m = mask_of(vertices)
-    return sum((g.adj[v] & m).bit_count() for v in bits(m)) // 2
-
-
-def _certificate_candidates(g: Graph, path: tuple[int, ...]):
-    """Candidate sparse sets drawn from the stall analysis: the outside
-    vertex together with anchor successors/predecessors, optionally one
-    extra vertex, and for several outside vertices the successors of a
-    whole outside component."""
-    on_path = set(path)
-    outside = [w for w in range(g.n) if w not in on_path]
-    last = len(path) - 1
-    if len(outside) == 1:
-        y = outside[0]
-        ap = anchored_path(g, path, y)
-        plus = [path[i + 1] for i in ap.anchors if i < last]
-        minus = [path[i - 1] for i in ap.anchors if i > 0]
-        for base in (plus, minus):
-            u0 = sorted({y, *base})
-            yield u0
-            for w in range(g.n):
-                if w not in u0:
-                    yield sorted(u0 + [w])
-    else:
-        for comp in component_masks(g.adj, mask_of(outside)):
-            nbr = 0
-            for v in bits(comp):
-                nbr |= g.adj[v]
-            plus = [path[i + 1] for i in range(last) if (nbr >> path[i]) & 1]
-            members = list(bits(comp))
-            y = members[0]
-            for y2 in outside:
-                if y2 != y:
-                    yield sorted({y, y2, *plus})
-
-
 def _extract_certificate(g: Graph, path: tuple[int, ...], k: int | None):
-    kk = k if k is not None else (g.n // 2 if g.n % 2 == 0 else None)
-    if kk is not None and kk >= 1:
-        w = exception_witness(g, kk)
+    n = g.n
+    if n % 2 == 0 and k in (None, n // 2):
+        w = join_witness(g, n // 2)
         # the witness certifies only a pair that a side S of it refutes:
         # deleting S from a Hamilton (u,v)-path leaves at most
         # |S| + 1 - |S & {u,v}| segments, so G - S has no more components
@@ -721,14 +687,11 @@ def _extract_certificate(g: Graph, path: tuple[int, ...], k: int | None):
             comps = component_masks(g.adj, g.full_mask() & ~mask_of(side))
             if len(comps) > len(side) + 1 - len(ends.intersection(side)):
                 return Certificate("join-witness", witness=w)
-    want = None if k is None else k + 1
-    for cand in _certificate_candidates(g, path):
-        if want is not None:
-            if len(cand) < want:
-                continue
-            cand = cand[:want]
-        if len(cand) >= 2 and _induced_edge_count(g, cand) <= 1:
-            return Certificate("sparse-set", vertices=tuple(cand))
+    if k is not None:
+        # a (k+1)-set with at most one edge: G is not a [k+1,2]-graph
+        edges, sparse = sparsest_induced_set(g, k + 1, stop_below=2)
+        if edges <= 1:
+            return Certificate("sparse-set", vertices=tuple(bits(sparse)))
     return None
 
 
@@ -737,8 +700,9 @@ def improve(g: Graph, u: int, v: int, k: int | None = None) -> EngineResult:
 
     Completions are tried first, then extensions.  Every move lengthens
     the path, so the loop ends within n moves.  On a stall the result
-    carries the best certificate found: a join-partition witness, a
-    sparse (k+1)-set, or none.
+    carries the join witness of an order-2k join (k = n/2 when k is
+    None) when a side of it refutes the pair; else, given k, a
+    (k+1)-set with at most one edge whenever G has one; else None.
     Raises ValueError on bad endpoints or k < 1, and NoPathError (a
     ValueError) when u and v are not connected.
     """

@@ -1,7 +1,8 @@
 """Exact decision procedures for the graph properties the theorems quantify over.
 
 Everything here is exhaustive or exact search tuned for graphs of at
-most a dozen vertices: subset edge-count minimization, a max-degree
+most a dozen vertices: subset edge-count minimization (which also
+names a minimizing set, or one below a threshold), a max-degree
 peel whose s-sets bound that minimum from above at every order at once
 (by averaging, deleting a vertex of maximum degree from m vertices and
 E edges leaves at most E(m-2)/m edges, so the s-set left has at most
@@ -34,22 +35,33 @@ def min_induced_edges(g: Graph, s: int, stop_below: int | None = None):
     ``stop_below=t`` the search may return early with any witness value
     < t, which is enough to decide the [s,t] predicate.
     """
+    return sparsest_induced_set(g, s, stop_below)[0]
+
+
+def sparsest_induced_set(g: Graph, s: int, stop_below: int | None = None):
+    """(edges, mask): the search of `min_induced_edges` together with
+    the s-set it settles on, a vertex mask of s bits inducing ``edges``
+    edges.  With ``stop_below=t`` that set is any s-set with fewer than
+    t edges; when every s-set has at least t, ``edges`` is a count >= t
+    and the mask is 0.  (VACUOUS, 0) when s exceeds the order.
+    """
     if s < 1:
         raise ValueError("subset order must be at least 1")
     n = g.n
     if s > n:
-        return VACUOUS
+        return VACUOUS, 0
     adj = g.adj
     degs = [row.bit_count() for row in adj]
     # stable sort: ties keep vertex order, as the key (degree, v) would
     order = sorted(range(n), key=degs.__getitem__)
     best = s * (s - 1) // 2 + 1
+    best_mask = 0
     # a child is entered only below limit; the search is over once best < stop
     limit = best if stop_below is None else min(best, stop_below)
     stop = 1 if stop_below is None else max(stop_below, 1)
 
     def dfs(idx, chosen_mask, count, size):
-        nonlocal best, limit
+        nonlocal best, best_mask, limit
         for i in range(idx, n - (s - size) + 1):
             v = order[i]
             c = count + (adj[v] & chosen_mask).bit_count()
@@ -57,13 +69,14 @@ def min_induced_edges(g: Graph, s: int, stop_below: int | None = None):
                 continue
             if size + 1 == s:
                 best = limit = c
+                best_mask = chosen_mask | (1 << v)
             else:
                 dfs(i + 1, chosen_mask | (1 << v), c, size + 1)
             if best < stop:
                 return
 
     dfs(0, 0, 0, 0)
-    return best
+    return best, best_mask
 
 
 def peel_edge_counts(g: Graph) -> list[int]:

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import os
 import subprocess
@@ -264,6 +265,22 @@ FIND_PATH_TRANSCRIPTS = [
         "certificate: none\n"
         "fallback hamilton-path: 0 4 2 5 3 6 7 1\n",
     ),
+    (
+        # C6 is no [3,2]-graph: the exact search names a sparse 3-set
+        ("find-path", "EhEG", "--u", "0", "--v", "3", "--k", "2"),
+        1,
+        "stalled: longest path found 0 1 2 3\n"
+        "certificate: sparse-set [0, 1, 3]\n"
+        "fallback: no hamilton path exists\n",
+    ),
+    (
+        # without k there is no hypothesis for a sparse set to refute
+        ("find-path", "EhEG", "--u", "0", "--v", "3"),
+        1,
+        "stalled: longest path found 0 1 2 3\n"
+        "certificate: none\n"
+        "fallback: no hamilton path exists\n",
+    ),
 ]
 
 
@@ -371,6 +388,25 @@ def test_cli_import_does_not_load_pathengine():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_package_imports_only_the_standard_library():
+    # the package stays stdlib-only: every absolute import, function-local
+    # ones included, names a standard-library module
+    pkg = Path(stgraphs.__file__).resolve().parent
+    outside = []
+    for path in sorted(pkg.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                if name.partition(".")[0] not in sys.stdlib_module_names:
+                    outside.append(f"{path.name}:{node.lineno} {name}")
+    assert outside == []
 
 
 # the ten nmax-8 theorem scans; their report lines are pinned by one digest,

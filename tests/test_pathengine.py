@@ -410,6 +410,35 @@ def test_join_witness_only_on_pairs_it_refutes():
     assert hamilton_uv_path(g, 4, 5) is None
 
 
+def test_stall_certificates_are_exact():
+    # on every stall of every connected graph with n <= 6, a certificate
+    # other than a join witness refuting the pair is a sparse (k+1)-set,
+    # present iff G is not a [k+1,2]-graph; without k there is none
+    stalls = 0
+    for n in range(2, 7):
+        for g in enumerate_connected(n):
+            sparse = {k: not is_st_graph(g, k + 1, 2) for k in (2, 3)}
+            for u, v in combinations(range(n), 2):
+                for k in (None, 2, 3):
+                    res = improve(g, u, v, k=k)
+                    if res.outcome != "stalled":
+                        continue
+                    stalls += 1
+                    cert = res.certificate
+                    if cert is not None and cert.kind == "join-witness":
+                        assert cert.witness.validate(g)
+                        assert hamilton_uv_path(g, u, v) is None
+                        continue
+                    if k is None or not sparse[k]:
+                        assert cert is None, (g.adj, u, v, k)
+                        continue
+                    assert cert is not None and cert.kind == "sparse-set", (g.adj, u, v, k)
+                    assert len(cert.vertices) == k + 1
+                    inside = sum(1 for a, b in combinations(cert.vertices, 2) if g.has_edge(a, b))
+                    assert inside <= 1
+    assert stalls == 3438
+
+
 def test_stalled_states_satisfy_longest_path_invariants():
     # in hypothesis graphs that are not exceptions, a stalled single-missing
     # state must have non-consecutive anchors and independent successor and

@@ -6,6 +6,7 @@ import pytest
 
 from stgraphs.graphcore import (
     Graph,
+    bits,
     component_masks,
     complete_graph,
     cycle_graph,
@@ -35,6 +36,7 @@ from stgraphs.predicates import (
     is_st_graph,
     join_witness,
     min_induced_edges,
+    sparsest_induced_set,
     vertex_connectivity,
 )
 from stgraphs.verify import enumerate_connected
@@ -80,6 +82,13 @@ def test_min_induced_edges_matches_brute_force():
         g = random_graph(rng, rng.randint(1, 8), rng.choice([0.3, 0.5, 0.7]))
         for s in range(1, g.n + 2):
             assert min_induced_edges(g, s) == brute_min_edges(g, s)
+            # the kernel's witness: an s-set inducing exactly that count
+            edges, mask = sparsest_induced_set(g, s)
+            if s > g.n:
+                assert (edges, mask) == (VACUOUS, 0)
+            else:
+                assert mask.bit_count() == s
+                assert induced_subgraph(g, list(bits(mask))).edge_count == edges
 
 
 def labeled_graphs(n):
