@@ -1,35 +1,42 @@
-"""Hamilton-path search driven by path-rewiring rules.
+"""Hamilton-path search driven by path-extension moves.
 
-A (u,v)-path is improved by a fixed catalog of rewirings: completions
-that absorb the missing vertex into a spanning path, and extensions that
-insert an outside vertex.  Every move lengthens the path, so the engine
-makes at most n moves.  The catalog is not claimed complete, so the
-engine either returns a Hamilton path or stalls, and leaves totality to
-the exact backtracking fallback.  A stall carries a certificate against
-the paper's hypothesis or its exception only when one exists: the join
-witness of kK1 v G_k (order 2k) when a side of it refutes the pair by
-counting, else, given k, a (k+1)-set with at most one edge, found by
-the exact [k+1,2] search, so G is not a [k+1,2]-graph; else none.
+A (u,v)-path P is lengthened by three moves that keep u and v fixed.
+Two are the moves of Chvatal and Erdos (A note on Hamiltonian circuits,
+Discrete Math. 2, 1972) on a component H of G - V(P): fan insertion F
+puts a shortest H-path between consecutive path vertices that both have
+neighbours in H, and the crossing X reroutes the path through H when
+the successors (or, on the reversed path, the predecessors) of two
+attachments of H are adjacent.  The third, E3, detours around an
+outside vertex's anchor through a chord of the anchor's predecessor.
+Every move lengthens the path, so the engine makes at most n moves.
+The moves are not claimed complete, so the engine either returns a
+Hamilton path or stalls, and leaves totality to the exact backtracking
+fallback.  A stall carries a certificate against the paper's
+hypothesis or its exception only when one exists: the join witness of
+kK1 v G_k (order 2k) when it refutes the pair by counting, else, given
+k, a (k+1)-set with at most one edge, found by the exact [k+1,2]
+search, so G is not a [k+1,2]-graph; else none.
 
 Each search for a move indexes the path once: one pass records the
-position of every path vertex and the path's vertex mask.  Every
-matcher pairs two anchors of the outside vertex, so a vertex is offered
-only when its adjacency row meets the path mask in at least two bits;
-its anchors are the positions of those bits, sorted, and the reversed
-view mirrors them.  Views are built on demand, in the order the rules
-try them, so a move found on the first view builds only that one.
-Each rule records ``min_order``, the fewest path vertices its index
-constraints allow a match on, and a table built at import lists, for
-each path order, the rules that can run on it.  The seed path's
-degree levels are computed once per graph.  Matchers and path checks
-test bits of the adjacency rows ``g.adj`` directly.
+position of every path vertex and the path's vertex mask, and one search
+finds the components of G - V(P), which the views carry.  F and X run
+on one view per component, named by its lowest vertex; E3 runs on one
+view per outside vertex with at least two path neighbours, forward and
+then mirrored.  A view's anchors are the positions of its vertex's
+neighbour bits on the path, sorted; the mirrored view mirrors them.
+Views are built on demand, in the order the moves try them, so a move
+found on the first view builds only that one.  Each move records
+``min_order``, the fewest path vertices its index constraints allow a
+match on, and a table built at import lists, for each path order, the
+moves that can run on it.  The seed path's degree levels are computed
+once per graph.  Matchers and path checks test bits of the adjacency
+rows ``g.adj`` directly.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from operator import sub
 from typing import Callable, NamedTuple, Optional
 
 from .graphcore import MAX_VERTICES, Graph, bits, component_masks, mask_of
@@ -65,29 +72,27 @@ def validate_path(g: Graph, seq, u: int, v: int) -> bool:
 
 
 class AnchoredPath(NamedTuple):
-    """A path together with one outside vertex and its anchor indices.
+    """A path together with one outside vertex, its anchor indices and
+    its component.
 
     ``anchors`` lists exactly the path positions adjacent to ``outside``,
-    ascending.  A named tuple, since the engine builds one per view.
+    ascending; ``component`` is the vertex mask of the component of
+    G - V(path) that holds ``outside``.  A named tuple, since the engine
+    builds one per view.
     """
 
     path: tuple[int, ...]
     outside: int
     anchors: tuple[int, ...]
-
-    @property
-    def rho(self) -> int:
-        """The largest number of path vertices strictly between
-        consecutive anchors (0 when fewer than two anchors).  No matcher
-        reads it; the engine records it for the view whose move it takes."""
-        a = self.anchors
-        return max(map(sub, a[1:], a)) - 1 if len(a) >= 2 else 0
+    component: int
 
 
 def anchored_path(g: Graph, path, outside: int) -> AnchoredPath:
     path = tuple(path)
     row = g.adj[outside]
-    return AnchoredPath(path, outside, tuple([i for i, w in enumerate(path) if (row >> w) & 1]))
+    rest = g.full_mask() & ~mask_of(path)
+    h = next(h for h in component_masks(g.adj, rest) if (h >> outside) & 1)
+    return AnchoredPath(path, outside, tuple([i for i, w in enumerate(path) if (row >> w) & 1]), h)
 
 
 def anchor(g: Graph, path) -> Optional[AnchoredPath]:
@@ -98,105 +103,77 @@ def anchor(g: Graph, path) -> Optional[AnchoredPath]:
     return anchored_path(g, path, rest.bit_length() - 1)
 
 
-# -- rewiring rules ------------------------------------------------------
+# -- moves -----------------------------------------------------------------
 #
-# Each matcher scans an anchored path for its pattern and returns the
-# first rewired vertex sequence, or None.  Index conventions: p is the
-# path tuple, last its last index, y the outside vertex, A the anchor
-# index list, adj the adjacency rows (bit w of adj[x] is the edge xw).
+# Each matcher scans a view for its pattern and returns the first
+# rewired vertex sequence, or None.  Index conventions: p is the path
+# tuple, last its last index, y the outside vertex, A the anchor (or
+# attachment) index list, h the vertex mask of the view's component H,
+# adj the adjacency rows (bit w of adj[x] is the edge xw).
 
 
-def _rule_e1(g: Graph, ap: AnchoredPath):
-    """Insert y between consecutive neighbors, or rotate a segment when
-    the successors of two anchors are adjacent; both lengthen the path."""
-    p, y, A = ap
+def _h_path(adj, h: int, src: int, dst: int) -> tuple[int, ...]:
+    """A shortest path inside the connected vertex set h from a vertex of
+    src to a vertex of dst (nonempty subsets of h), by breadth-first
+    search; ties go to the lower vertex id."""
+    parent = {}
+    seen = frontier = src
+    while not frontier & dst:
+        nxt = 0
+        for x in bits(frontier):
+            fresh = adj[x] & h & ~seen
+            seen |= fresh
+            nxt |= fresh
+            for w in bits(fresh):
+                parent[w] = x
+        frontier = nxt
+    out = [(frontier & dst & -(frontier & dst)).bit_length() - 1]
+    while out[-1] in parent:
+        out.append(parent[out[-1]])
+    return tuple(reversed(out))
+
+
+def _rule_f(g: Graph, ap: AnchoredPath):
+    """Fan insertion: at the first consecutive positions i, i+1 that both
+    have neighbours in H, insert a shortest H-path from N(p_i) to
+    N(p_{i+1}) between them."""
+    p, h = ap.path, ap.component
     adj = g.adj
-    last = len(p) - 1
-    aset = set(A)
-    for i in A:
-        if i + 1 in aset:
-            return p[: i + 1] + (y,) + p[i + 1 :]
-    for ai, a in enumerate(A[:-1]):
-        row = adj[p[a + 1]]
-        for b in A[ai + 1 :]:
-            if b < last and (row >> p[b + 1]) & 1:
-                return p[: a + 1] + (y,) + p[a + 1 : b + 1][::-1] + p[b + 1 :]
+    src = adj[p[0]] & h
+    for i in range(len(p) - 1):
+        dst = adj[p[i + 1]] & h
+        if src and dst:
+            return p[: i + 1] + _h_path(adj, h, src, dst) + p[i + 1 :]
+        src = dst
     return None
 
 
-def _rule_h1(g: Graph, ap: AnchoredPath):
-    """Crossing completion between two anchors a < b: a chord pair into
-    the (a,b) segment reroutes everything through y."""
-    p, y, A = ap
-    adj = g.adj
-    last = len(p) - 1
-    for ai in range(len(A) - 1):
-        a = A[ai]
-        ra = adj[p[a + 1]]
-        for b in A[ai + 1 :]:
-            if b >= last:
-                break  # the anchors ascend
-            rb = adj[p[b + 1]]
-            for t in range(a + 1, b):
-                if (ra >> p[t + 1]) & 1 and (rb >> p[t]) & 1:
-                    return p[: a + 1] + (y,) + p[b:t:-1] + p[a + 1 : t + 1] + p[b + 1 :]
-    return None
-
-
-def _rule_h2(g: Graph, ap: AnchoredPath):
-    """Left-hook completion: a chord from before anchor a into the (a,b)
-    segment whose successor reaches past b."""
-    p, y, A = ap
-    adj = g.adj
-    last = len(p) - 1
-    for ai, a in enumerate(A):
-        if a < 1:
-            continue
-        ra = adj[p[a - 1]]
-        for b in A[ai + 1 :]:
-            if b >= last:
-                continue
-            rb = adj[p[b + 1]]
-            for s in range(a + 1, b + 1):
-                if (ra >> p[s - 1]) & 1 and (rb >> p[s]) & 1:
-                    return (
-                        p[:a]
-                        + p[a:s][::-1]
-                        + (y,)
-                        + p[s : b + 1][::-1]
+def _rule_x(g: Graph, ap: AnchoredPath):
+    """Crossing: for attachments a < b < last of H with p_{a+1} ~ p_{b+1},
+    route p_0..p_a, an H-path from N(p_a) to N(p_b), p_b..p_{a+1}, then
+    p_{b+1}..p_last.  Tried on the path, then on its reverse, where the
+    successors are the predecessors of the path as given."""
+    adj, h = g.adj, ap.component
+    for reverse, p in ((False, ap.path), (True, ap.path[::-1])):
+        A = [i for i in range(len(p) - 1) if adj[p[i]] & h]
+        for ai, a in enumerate(A):
+            row = adj[p[a + 1]]
+            for b in A[ai + 1 :]:
+                if (row >> p[b + 1]) & 1:
+                    seq = (
+                        p[: a + 1]
+                        + _h_path(adj, h, adj[p[a]] & h, adj[p[b]] & h)
+                        + p[b:a:-1]
                         + p[b + 1 :]
                     )
-    return None
-
-
-def _rule_h3(g: Graph, ap: AnchoredPath):
-    """Right-hook completion: a chord from before anchor a into the tail
-    after anchor b whose successor reaches back before b."""
-    p, y, A = ap
-    adj = g.adj
-    last = len(p) - 1
-    for ai, a in enumerate(A):
-        if a < 1:
-            continue
-        ra = adj[p[a - 1]]
-        for b in A[ai + 1 :]:
-            rb = adj[p[b - 1]]
-            for x in range(b, last):
-                if (ra >> p[x]) & 1 and (rb >> p[x + 1]) & 1:
-                    return (
-                        p[:a]
-                        + p[b : x + 1][::-1]
-                        + (y,)
-                        + p[a:b]
-                        + p[x + 1 :]
-                    )
+                    return seq[::-1] if reverse else seq
     return None
 
 
 def _rule_e3(g: Graph, ap: AnchoredPath):
     """Chord-detour extensions around an anchor a whose predecessor has
     two consecutive path neighbors w, w+1; eight routing variants."""
-    p, y, A = ap
+    p, y, A, _ = ap
     adj = g.adj
     last = len(p) - 1
     aset = set(A)
@@ -282,204 +259,28 @@ def _rule_e3(g: Graph, ap: AnchoredPath):
     return None
 
 
-def _rule_h4(g: Graph, ap: AnchoredPath):
-    """Completions available once two consecutive anchors sit exactly one
-    apart (a single gap vertex)."""
-    p, y, A = ap
-    adj = g.adj
-    last = len(p) - 1
-    for j in range(len(A) - 1):
-        m, m2 = A[j], A[j + 1]
-        if m2 != m + 2:
-            continue
-        gv = m + 1
-        rg = adj[p[gv]]
-        for x in range(m2 + 1, last):
-            if not (rg >> p[x]) & 1:
-                continue
-            rx = adj[p[x + 1]]
-            for t in A:
-                if t + 1 > last or not (rx >> p[t + 1]) & 1:
-                    continue
-                if m2 <= t <= x - 2:
-                    return (
-                        p[: m + 1]
-                        + (y,)
-                        + p[gv : t + 1][::-1]
-                        + p[t + 1 : x + 1][::-1]
-                        + p[x + 1 :]
-                    )
-                if t <= m:
-                    return (
-                        p[: t + 1]
-                        + (y,)
-                        + p[m2 : x + 1]
-                        + p[t + 1 : gv + 1][::-1]
-                        + p[x + 1 :]
-                    )
-        if j + 2 < len(A):
-            m3 = A[j + 2]
-            rm = adj[p[m3 - 1]]
-            for t in A:
-                if t + 1 > last:
-                    continue
-                if not ((rg >> p[t]) & 1 and (rm >> p[t + 1]) & 1):
-                    continue
-                if t < m:
-                    return (
-                        p[: t + 1]
-                        + p[t + 1 : m + 2][::-1]
-                        + p[m2:m3][::-1]
-                        + (y,)
-                        + p[m3:]
-                    )
-                if t >= m3:
-                    return (
-                        p[: m + 1]
-                        + (y,)
-                        + p[m3 : t + 1]
-                        + p[m + 1 : m3]
-                        + p[t + 1 :]
-                    )
-    return None
-
-
-def _rule_h5(g: Graph, ap: AnchoredPath):
-    """Completions for the all-gaps-at-least-two regime: hook moves around
-    a consecutive anchor pair, the two small-order endgames, and the six
-    three-anchor table rewirings."""
-    p, y, A = ap
-    adj = g.adj
-    last = len(p) - 1
-    aset = set(A)
-    # hook moves on a consecutive anchor pair (q, q1)
-    for j in range(len(A) - 1):
-        q, q1 = A[j], A[j + 1]
-        if q < 1 or not (adj[p[q - 1]] >> p[q1]) & 1:
-            continue
-        row = adj[p[q1 - 1]]
-        for am in A:
-            w = am + 1
-            if w > last or not (row >> p[w]) & 1:
-                continue
-            if w <= q - 1:
-                return p[:w] + (y,) + p[q:q1] + p[w:q] + p[q1:]
-            if w >= q1 + 1:
-                return p[:q] + p[q1:w] + (y,) + p[q:q1] + p[w:]
-    # endgame with four or more anchors (gap-two lattice)
-    if last >= 6 and 3 in aset and 6 in aset:
-        if (adj[p[0]] >> p[4]) & 1 and (adj[p[5]] >> p[1]) & 1:
-            return (p[0], p[4], p[5], p[1], p[2], p[3], y) + p[6:]
-    # three-anchor endgame on eight vertices
-    if last == 6 and 3 in aset and 6 in aset:
-        if (adj[p[0]] >> p[2]) & 1 and (adj[p[1]] >> p[5]) & 1:
-            return (p[0], p[2], p[1], p[5], p[4], p[3], y, p[6])
-    # table rewirings: consecutive pair (q, q1) plus anchors a and pp
-    for j in range(len(A) - 1):
-        q, q1 = A[j], A[j + 1]
-        if q1 < q + 3:
-            continue
-        r2, r3 = adj[p[q1 - 2]], adj[p[q1 - 3]]
-        for pp in A:
-            if pp in (q, q1) or pp < 2:
-                continue
-            if not (r2 >> p[pp - 1]) & 1:
-                continue
-            c3 = q >= 1 and (adj[p[q - 1]] >> p[pp - 2]) & 1
-            for a in A:
-                if a in (q, q1, pp) or a < 1:
-                    continue
-                if not (r3 >> p[a - 1]) & 1:
-                    continue
-                if pp < q:
-                    if a < pp and q1 - 3 >= pp:
-                        return (
-                            p[:a]
-                            + p[pp : q1 - 2][::-1]
-                            + (y,)
-                            + p[a:pp]
-                            + p[q1 - 2 :]
-                        )
-                    if pp < a < q and c3:
-                        return (
-                            p[: pp - 1]
-                            + p[a:q][::-1]
-                            + (y,)
-                            + p[q : q1 - 2]
-                            + p[pp - 1 : a][::-1]
-                            + p[q1 - 2 :]
-                        )
-                    if a > q1 - 1 and c3:
-                        return (
-                            p[: pp - 1]
-                            + p[pp - 1 : q][::-1]
-                            + p[q1 - 2 : a]
-                            + p[q : q1 - 2][::-1]
-                            + (y,)
-                            + p[a:]
-                        )
-                elif pp > q1:
-                    if a < q and c3:
-                        return (
-                            p[:a]
-                            + p[q : q1 - 2][::-1]
-                            + (y,)
-                            + p[a:q]
-                            + p[q1 - 2 : pp - 1][::-1]
-                            + p[pp - 1 :]
-                        )
-                    if q < a < pp and a >= q1 and a + 2 <= pp and c3:
-                        return (
-                            p[:q]
-                            + p[a : pp - 1][::-1]
-                            + (y,)
-                            + p[q : q1 - 2]
-                            + p[q1 - 2 : a][::-1]
-                            + p[pp - 1 :]
-                        )
-                    if a > pp and c3:
-                        return (
-                            p[:q]
-                            + p[q1 - 2 : pp - 1][::-1]
-                            + p[pp - 1 : a]
-                            + p[q : q1 - 2][::-1]
-                            + (y,)
-                            + p[a:]
-                        )
-    return None
-
-
 @dataclass(frozen=True)
 class RewriteRule:
-    """A cataloged rewiring.  ``min_order`` is the fewest path vertices on
+    """A cataloged move.  ``min_order`` is the fewest path vertices on
     which ``matcher`` can return a sequence; the engine does not run the
-    rule on shorter paths."""
+    move on shorter paths.  A ``component`` move runs once per component
+    of G - V(P), on the path as given; any other runs once per outside
+    vertex with two anchors, on the path and then on its mirror."""
 
     id: str
     matcher: Callable[[Graph, AnchoredPath], Optional[tuple[int, ...]]]
     min_order: int
+    component: bool = False
 
 
 # Each min_order is last + 1 for the smallest last index the matcher's
 # index constraints allow:
-#   H1  anchors a < b < last and a chord index t, a < t < b: last >= 3
-#   H2  anchors 1 <= a < b < last: last >= 3
-#   H3  anchors 1 <= a < b and an index x, b <= x < last: last >= 3
-#   H4  anchors m and m + 2 and an index x, m + 2 < x < last; or a third
-#       anchor m3 > m + 2 and an anchor t < last with t < m (so m3 >= 4)
-#       or t >= m3 (so t >= 3): last >= 4
-#   H5  hook anchors 1 <= q < q1 and an anchor am whose successor
-#       am + 1 <= last lies before q (q >= 2) or after q1: last >= 3; the
-#       endgames and table rewirings need more
-#   E1  two consecutive anchors: last >= 1
+#   F   consecutive positions i, i + 1: last >= 1
+#   X   attachments a < b < last: last >= 2
 #   E3  an anchor a >= 2 and an index w, w < a - 2 or a <= w < last: last >= 3
 RULE_CATALOG: tuple[RewriteRule, ...] = (
-    RewriteRule("H1", _rule_h1, 4),
-    RewriteRule("H2", _rule_h2, 4),
-    RewriteRule("H3", _rule_h3, 4),
-    RewriteRule("H4", _rule_h4, 5),
-    RewriteRule("H5", _rule_h5, 4),
-    RewriteRule("E1", _rule_e1, 2),
+    RewriteRule("F", _rule_f, 2, component=True),
+    RewriteRule("X", _rule_x, 3, component=True),
     RewriteRule("E3", _rule_e3, 4),
 )
 
@@ -516,14 +317,9 @@ class MoveRecord(NamedTuple):
     rule_id: str
     length_before: int
     length_after: int
-    rho_before: int
-    rho_after: int
 
     def format(self) -> str:
-        return (
-            f"{self.rule_id} len {self.length_before}->{self.length_after}"
-            f" rho {self.rho_before}->{self.rho_after}"
-        )
+        return f"{self.rule_id} len {self.length_before}->{self.length_after}"
 
 
 @dataclass(frozen=True)
@@ -609,69 +405,61 @@ def _seed_path(g: Graph, u: int, v: int):
 
 
 def _find_move(g: Graph, path: tuple[int, ...]):
-    """First applicable move in catalog order, tried on the path and its
-    reverse for every outside vertex.  Returns (rule_id, new_path,
-    rho_before, rho_after) or None.
+    """First applicable move in catalog order.  Returns (rule_id,
+    new_path) or None.
 
     One pass over the path fills the position index ``pos`` and the path
-    mask.  An outside vertex y gets a view only when ``hit``, its row
-    masked to the path, has at least two bits: no matcher runs on fewer
-    anchors.  Views are tried forward first, outside vertices ascending,
-    then reversed in the same order.  A forward view is built when the
-    first rule reaches it, its anchors being the positions of the bits
-    of ``hit``, sorted; the reversed view mirrors them (anchor i becomes
-    last - i, rho is unchanged).  Views are kept for the later rules, so
-    a move found early builds few views.  Only the rules whose
-    ``min_order`` the path reaches run, as listed by ``_RULES_BY_ORDER``.
-    Every match goes through ``apply_rule``, looked up as a module global
-    on each call, so a wrapper bound to that name (the benchmark's
-    tracer) sees every call.  rho is computed for the view
-    whose move is taken; rho after a move is that of the one remaining
-    outside vertex, or 0 when none or several remain."""
+    mask, and one search gives the components of G - V(P), each view
+    carrying its vertex's.  Component moves see each component, in order
+    of its lowest vertex, which names its view.  Other moves see each
+    outside vertex y whose row ``hit``, masked to the path, has at least
+    two bits, ascending, and then the same vertices on the mirrored
+    path.  A view is built when the first move reaches it, its anchors
+    being the positions of the bits of ``hit``, sorted; the mirrored view
+    mirrors them (anchor i becomes last - i).  Views are kept for the
+    later moves, so a move found early builds few views.  Only the moves
+    whose ``min_order`` the path reaches run, as listed by
+    ``_RULES_BY_ORDER``.  Every match goes through ``apply_rule``, looked
+    up as a module global on each call, so a wrapper bound to that name
+    (the benchmark's tracer) sees every call."""
     adj, n = g.adj, g.n
-    n_path = len(path)
-    last = n_path - 1
+    last = len(path) - 1
     pos = [0] * n
     path_mask = 0
     for i, w in enumerate(path):
         pos[w] = i
         path_mask |= 1 << w
-    outside = []  # (y, hit) for each outside vertex with two path neighbours
-    rest = ((1 << n) - 1) ^ path_mask
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        y = low.bit_length() - 1
-        hit = adj[y] & path_mask
-        if hit & (hit - 1):
-            outside.append((y, hit))
-    n_forward = len(outside)
-    views: list[AnchoredPath] = []
-    for rule in _RULES_BY_ORDER[n_path]:
-        for i in range(2 * n_forward):
-            if i < len(views):
-                ap = views[i]
-            elif i < n_forward:
-                y, hit = outside[i]
-                anchors = []
-                while hit:
-                    low = hit & -hit
-                    hit ^= low
-                    anchors.append(pos[low.bit_length() - 1])
-                anchors.sort()
-                ap = AnchoredPath(path, y, tuple(anchors))
-                views.append(ap)
-            else:
-                fwd = views[i - n_forward]
-                mirrored = tuple([last - a for a in reversed(fwd.anchors)])
-                ap = AnchoredPath(path[::-1], fwd.outside, mirrored)
-                views.append(ap)
+    comps = component_masks(adj, ((1 << n) - 1) ^ path_mask)
+    pairs = None  # (y, component) for each outside vertex y with two path neighbours
+    views = {}  # (y, mirrored) -> view
+    for rule in _RULES_BY_ORDER[last + 1]:
+        if rule.component:
+            keys = [((h & -h).bit_length() - 1, h, False) for h in comps]
+        else:
+            if pairs is None:
+                pairs = sorted(
+                    (y, h) for h in comps for y in bits(h) if (adj[y] & path_mask).bit_count() >= 2
+                )
+            keys = [(y, h, False) for y, h in pairs] + [(y, h, True) for y, h in pairs]
+        for y, h, mirrored in keys:
+            ap = views.get((y, mirrored))
+            if ap is None:
+                if mirrored:
+                    anchors = tuple([last - a for a in reversed(views[y, False].anchors)])
+                    ap = AnchoredPath(path[::-1], y, anchors, h)
+                else:
+                    hit = adj[y] & path_mask
+                    anchors = []
+                    while hit:
+                        low = hit & -hit
+                        hit ^= low
+                        anchors.append(pos[low.bit_length() - 1])
+                    anchors.sort()
+                    ap = AnchoredPath(path, y, tuple(anchors), h)
+                views[y, mirrored] = ap
             seq = apply_rule(g, ap, rule)
-            if seq is None:
-                continue
-            new_path = seq[::-1] if i >= n_forward else seq
-            new_rho = anchor(g, new_path).rho if n - len(new_path) == 1 else 0
-            return rule.id, new_path, ap.rho, new_rho
+            if seq is not None:
+                return rule.id, seq[::-1] if mirrored else seq
     return None
 
 
@@ -679,14 +467,8 @@ def _extract_certificate(g: Graph, path: tuple[int, ...], k: int | None):
     n = g.n
     if n % 2 == 0 and k in (None, n // 2):
         w = join_witness(g, n // 2)
-        # the witness certifies only a pair that a side S of it refutes:
-        # deleting S from a Hamilton (u,v)-path leaves at most
-        # |S| + 1 - |S & {u,v}| segments, so G - S has no more components
-        ends = {path[0], path[-1]}
-        for side in () if w is None else (w.rest, w.independent_part):
-            comps = component_masks(g.adj, g.full_mask() & ~mask_of(side))
-            if len(comps) > len(side) + 1 - len(ends.intersection(side)):
-                return Certificate("join-witness", witness=w)
+        if w is not None and w.refutes(g, path[0], path[-1]):
+            return Certificate("join-witness", witness=w)
     if k is not None:
         # a (k+1)-set with at most one edge: G is not a [k+1,2]-graph
         edges, sparse = sparsest_induced_set(g, k + 1, stop_below=2)
@@ -696,10 +478,10 @@ def _extract_certificate(g: Graph, path: tuple[int, ...], k: int | None):
 
 
 def improve(g: Graph, u: int, v: int, k: int | None = None) -> EngineResult:
-    """Drive the rewiring rules from a seed (u,v)-path.
+    """Drive the moves from a seed (u,v)-path.
 
-    Completions are tried first, then extensions.  Every move lengthens
-    the path, so the loop ends within n moves.  On a stall the result
+    Each step takes the first move that F, X or E3 finds, in that order.
+    Every move lengthens the path, so the loop ends within n moves.  On a stall the result
     carries the join witness of an order-2k join (k = n/2 when k is
     None) when a side of it refutes the pair; else, given k, a
     (k+1)-set with at most one edge whenever G has one; else None.
@@ -721,8 +503,8 @@ def improve(g: Graph, u: int, v: int, k: int | None = None) -> EngineResult:
         move = _find_move(g, path)
         if move is None:
             break
-        rule_id, new_path, rho_before, rho_after = move
-        trace.append(MoveRecord(rule_id, len(path), len(new_path), rho_before, rho_after))
+        rule_id, new_path = move
+        trace.append(MoveRecord(rule_id, len(path), len(new_path)))
         path = new_path
     if len(path) == n:
         return EngineResult("hamilton-path", path, None, tuple(trace))

@@ -8,10 +8,10 @@ peel whose s-sets bound that minimum from above at every order at once
 E edges leaves at most E(m-2)/m edges, so the s-set left has at most
 e.s(s-1)/(n(n-1)) edges), independence number by branch-and-bound
 (which also decides [s,1], the absence of an independent s-set),
-vertex connectivity and the threshold test kappa >= k by a bitset
-vertex-split max-flow on a split network built once per graph and
-warm-started with the length-2 paths through the common neighbours of
-the two ends, Hamilton path/cycle search by pruned backtracking, and
+the threshold test kappa >= k (vertex connectivity is the largest k it
+passes) by a bitset vertex-split max-flow on a split network built once
+per graph and warm-started with the length-2 paths through the common
+neighbours of the two ends, Hamilton path/cycle search by pruned backtracking, and
 hamiltonian-connectedness by a rotation cover: Posa rotations of each
 path found cover further pairs, so exact searches run only on the
 pairs no rotation reaches.
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graphcore import Graph, bits, mask_of
+from .graphcore import Graph, bits, component_masks, mask_of
 
 VACUOUS = math.inf
 
@@ -232,26 +232,16 @@ def _local_connectivity(split, n: int, s: int, t: int, cap: int) -> int:
 def vertex_connectivity(g: Graph) -> int:
     """Vertex connectivity; n-1 for complete graphs by convention.
 
-    Starts from the minimum degree and lowers it with capped local
-    connectivities from vertices 0, 1, ... while the index is below the
-    current value.  This is exact: a minimum separator S misses one of
-    the first |S|+1 vertices, and that vertex i has a nonadjacent vertex
-    in another component of G - S, so kappa(i, w) = |S|; the loop reaches
-    i = |S| unless the value has already dropped to |S|.
+    The largest k <= min degree for which `is_k_connected` holds: start
+    from the minimum degree, an upper bound, and lower it until the
+    threshold test passes (it always does at k = 0).
     """
-    n = g.n
-    if n < 1:
+    if g.n < 1:
         raise ValueError("connectivity needs at least one vertex")
-    adj = g.adj
-    full = (1 << n) - 1
-    best = min(row.bit_count() for row in adj)
-    split = _split_network(adj, n)
-    i = 0
-    while i < best:
-        for w in bits(full & ~adj[i] & ~(1 << i)):
-            best = _local_connectivity(split, n, i, w, best)
-        i += 1
-    return best
+    k = min(row.bit_count() for row in g.adj)
+    while not is_k_connected(g, k):
+        k -= 1
+    return k
 
 
 def is_k_connected(g: Graph, k: int) -> bool:
@@ -437,6 +427,17 @@ class JoinWitness:
             return False
         rest_mask = mask_of(r)
         return all(g.adj[v] == rest_mask for v in s)
+
+    def refutes(self, g: Graph, u: int, v: int) -> bool:
+        """True when a side S of the join refutes a Hamilton (u,v)-path by
+        counting: deleting S from such a path leaves at most
+        |S| + 1 - |S & {u,v}| segments, so G - S has no more components."""
+        ends = {u, v}
+        for side in (self.rest, self.independent_part):
+            comps = component_masks(g.adj, g.full_mask() & ~mask_of(side))
+            if len(comps) > len(side) + 1 - len(ends.intersection(side)):
+                return True
+        return False
 
 
 def join_witness(g: Graph, k: int) -> JoinWitness | None:

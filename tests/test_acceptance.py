@@ -236,7 +236,7 @@ def test_criterion_8_rule_transcription(acceptance_log):
     ok = ok and fired == {r.id for r in RULE_CATALOG}
     record(
         acceptance_log, 8, ok, time.time() - t0, 1,
-        f"all {len(RULE_CATALOG)} rules have validated positive and failing negative instances",
+        f"all {len(RULE_CATALOG)} moves have validated positive and failing negative instances",
     )
 
 

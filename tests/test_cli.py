@@ -175,10 +175,10 @@ def test_find_path_success(capsys):
 
 
 def test_find_path_trace_records_moves(capsys):
-    # crossing-completion instance: the engine needs one rewiring move
+    # crossing instance: the engine needs one move, X
     code, out = run_cli(capsys, "find-path", "FjKK_", "--u", "0", "--v", "5", "--trace")
     assert code == 0
-    assert "move: H1 len 6->7" in out
+    assert "move: X len 6->7" in out
     assert "hamilton-path:" in out
 
 
@@ -233,7 +233,7 @@ FIND_PATH_TRANSCRIPTS = [
     (
         ("find-path", "FjKK_", "--u", "0", "--v", "5", "--trace"),
         0,
-        "move: H1 len 6->7 rho 1->0\n"
+        "move: X len 6->7\n"
         "hamilton-path: 0 6 3 1 2 4 5\n",
     ),
     (
@@ -244,26 +244,24 @@ FIND_PATH_TRANSCRIPTS = [
         "fallback: no hamilton path exists\n",
     ),
     (
-        # a 3-connected [4,2]-graph whose pair stalls without rule E3
+        # a 3-connected [4,2]-graph; the fifth fan insertion puts a
+        # two-vertex H-path into the path
         ("find-path", "HzboPtU", "--u", "1", "--v", "2", "--k", "3", "--trace"),
         0,
-        "move: E1 len 2->3 rho 0->0\n"
-        "move: E1 len 3->4 rho 0->0\n"
-        "move: H1 len 4->5 rho 1->0\n"
-        "move: H1 len 5->6 rho 1->0\n"
-        "move: E3 len 6->7 rho 2->0\n"
-        "move: H1 len 7->8 rho 3->1\n"
-        "move: H1 len 8->9 rho 1->0\n"
-        "hamilton-path: 1 0 4 7 6 8 3 5 2\n",
+        "move: F len 2->3\n"
+        "move: F len 3->4\n"
+        "move: F len 4->5\n"
+        "move: F len 5->6\n"
+        "move: F len 6->8\n"
+        "move: F len 8->9\n"
+        "hamilton-path: 1 8 6 4 7 3 5 0 2\n",
     ),
     (
         # the graph is a join exception, but this pair has a Hamilton path,
-        # so the join witness is no certificate for it
+        # which the engine finds
         ("find-path", "G?~vnk", "--u", "0", "--v", "1", "--k", "4"),
         0,
-        "stalled: longest path found 0 4 1\n"
-        "certificate: none\n"
-        "fallback hamilton-path: 0 4 2 5 3 6 7 1\n",
+        "hamilton-path: 0 7 3 6 5 2 4 1\n",
     ),
     (
         # C6 is no [3,2]-graph: the exact search names a sparse 3-set
@@ -280,6 +278,13 @@ FIND_PATH_TRANSCRIPTS = [
         "stalled: longest path found 0 1 2 3\n"
         "certificate: none\n"
         "fallback: no hamilton path exists\n",
+    ),
+    (
+        # a 3-connected [4,2]-graph whose pair stalls without move E3
+        ("find-path", "GBYluk", "--u", "3", "--v", "7", "--k", "3", "--trace"),
+        0,
+        "move: E3 len 7->8\n"
+        "hamilton-path: 3 2 6 0 5 4 1 7\n",
     ),
 ]
 

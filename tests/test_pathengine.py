@@ -8,7 +8,6 @@ import pytest
 from stgraphs import pathengine
 from stgraphs.graphcore import (
     Graph,
-    bits,
     complete_graph,
     cycle_graph,
     from_graph6,
@@ -19,7 +18,6 @@ from stgraphs.graphcore import (
 from stgraphs.pathengine import (
     RULE_CATALOG,
     RULES_BY_ID,
-    AnchoredPath,
     NoPathError,
     RewriteRule,
     RuleTranscriptionError,
@@ -79,10 +77,10 @@ def test_anchor_examples():
     k4 = complete_graph(4)
     ap = anchor(k4, (0, 1, 2))
     assert ap is not None
-    assert ap.outside == 3 and ap.anchors == (0, 1, 2) and ap.rho == 0
+    assert ap.outside == 3 and ap.anchors == (0, 1, 2)
     c5 = cycle_graph(5)
     ap = anchor(c5, (0, 1, 2, 3))
-    assert ap.outside == 4 and ap.anchors == (0, 3) and ap.rho == 2
+    assert ap.outside == 4 and ap.anchors == (0, 3)
     assert anchor(k4, (0, 1, 2, 3)) is None
     assert anchor(cycle_graph(6), (0, 1, 2, 3)) is None  # two vertices outside
 
@@ -101,44 +99,34 @@ def test_anchor_completeness_random():
         ap = anchored_path(g, path, y)
         for i, w in enumerate(path):
             assert (i in ap.anchors) == g.has_edge(w, y)
+        assert ap.component == mask_of(_component_of(g, path, y))
 
 
-def test_rho_examples():
-    g = path_plus(6, [], [0, 2, 4])
-    ap = anchored_path(g, (0, 1, 2, 3, 4), 5)
-    assert ap.anchors == (0, 2, 4) and ap.rho == 1
-    g = path_plus(8, [], [0, 3, 6])
-    ap = anchored_path(g, (0, 1, 2, 3, 4, 5, 6), 7)
-    assert ap.rho == 2
-    g = path_plus(4, [], [0, 1])
-    ap = anchored_path(g, (0, 1, 2), 3)
-    assert ap.rho == 0
-    ap = anchored_path(g, (1, 2), 3)
-    assert ap.anchors == (0,) and ap.rho == 0  # a single anchor has no gap
-
-
-# -- rule transcription instances -------------------------------------------
+# -- move transcription instances -------------------------------------------
 #
-# Each case: rule id, graph, path, outside vertex, expected rewiring.
+# Each case: move id, graph, path, outside vertex, expected rewiring.
 # The graphs are a path plus the chords each pattern requires, so the
-# matching spot is unique and the output is pinned exactly.  HZB is the
-# exception: a 3-connected [4,2]-graph in the state where the engine's
-# (1,2)-walk makes its E3 move, on which no other rule matches.
+# matching spot is unique and the output is pinned exactly.  For F and X
+# the outside vertex names its component H of G - V(P).  HZB is the
+# exception: a 3-connected [4,2]-graph in a state where E3 matches.
 
 HZB = from_graph6("HzboPtU")
 HZB_PATH = (1, 8, 3, 5, 0, 2)
 
+# H = 4-5-6 hangs off path vertices 1 and 2 by its two ends
+FAN_PATH3 = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (1, 4), (2, 6)])
+
 POSITIVE_CASES = [
-    ("E1", path_plus(5, [], [1, 2]), (0, 1, 2, 3), 4, (0, 1, 4, 2, 3)),
-    ("E1", path_plus(6, [(2, 4)], [1, 3]), (0, 1, 2, 3, 4), 5, (0, 1, 5, 3, 2, 4)),
+    ("F", path_plus(5, [], [1, 2]), (0, 1, 2, 3), 4, (0, 1, 4, 2, 3)),
+    ("F", FAN_PATH3, (0, 1, 2, 3), 4, (0, 1, 4, 5, 6, 2, 3)),
     ("E3", HZB, HZB_PATH, 7, (1, 0, 5, 8, 3, 7, 2)),
-    ("H1", Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (6, 0), (6, 3),
-                                (1, 3), (2, 4)]),
-     (0, 1, 2, 3, 4, 5), 6, (0, 6, 3, 1, 2, 4, 5)),
-    ("H2", path_plus(7, [(0, 2), (3, 5)], [1, 4]),
-     (0, 1, 2, 3, 4, 5), 6, (0, 2, 1, 6, 4, 3, 5)),
-    ("H3", path_plus(7, [(0, 4), (2, 5)], [1, 3]),
-     (0, 1, 2, 3, 4, 5), 6, (0, 4, 3, 6, 1, 2, 5)),
+    ("X", path_plus(7, [(1, 4)], [0, 3]), (0, 1, 2, 3, 4, 5), 6, (0, 6, 3, 2, 1, 4, 5)),
+    # the attachment 5 is last and 1 ~ 4 joins predecessors: only the
+    # reversed path has the crossing
+    ("X", path_plus(7, [(1, 4)], [2, 5]), (0, 1, 2, 3, 4, 5), 6, (0, 1, 4, 3, 2, 6, 5)),
+    ("X", Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (6, 7), (0, 6), (3, 7),
+                                (1, 4)]),
+     (0, 1, 2, 3, 4, 5), 6, (0, 6, 7, 3, 2, 1, 4, 5)),
     ("E3", path_plus(6, [(1, 3)], [0, 2]), (0, 1, 2, 3, 4), 5, (0, 5, 2, 1, 3, 4)),
     ("E3", path_plus(7, [(0, 2)], [1, 3]), (0, 1, 2, 3, 4, 5), 6, (0, 2, 1, 6, 3, 4, 5)),
     ("E3", path_plus(8, [(0, 2), (3, 5)], [1, 4]),
@@ -153,53 +141,18 @@ POSITIVE_CASES = [
      (0, 1, 2, 3, 4, 5, 6, 7, 8, 9), 10, (0, 1, 6, 2, 5, 4, 3, 10, 7, 8, 9)),
     ("E3", path_plus(8, [(0, 2), (1, 4)], [3, 5]),
      (0, 1, 2, 3, 4, 5, 6), 7, (0, 2, 1, 4, 3, 7, 5, 6)),
-    ("H4", path_plus(9, [(1, 5), (3, 6)], [0, 2, 4]),
-     (0, 1, 2, 3, 4, 5, 6, 7), 8, (0, 8, 2, 1, 5, 4, 3, 6, 7)),
-    ("H4", path_plus(9, [(3, 6), (1, 7)], [0, 2, 4]),
-     (0, 1, 2, 3, 4, 5, 6, 7), 8, (0, 8, 4, 5, 6, 3, 2, 1, 7)),
-    ("H4", path_plus(11, [(0, 4), (1, 7)], [0, 3, 5, 8]),
-     (0, 1, 2, 3, 4, 5, 6, 7, 8, 9), 10, (0, 4, 3, 2, 1, 7, 6, 5, 10, 8, 9)),
-    ("H4", path_plus(11, [(4, 8), (7, 9)], [3, 5, 8]),
-     (0, 1, 2, 3, 4, 5, 6, 7, 8, 9), 10, (0, 1, 2, 3, 10, 8, 4, 5, 6, 7, 9)),
-    ("H5", path_plus(9, [(3, 7), (2, 6)], [1, 4, 7]),
-     (0, 1, 2, 3, 4, 5, 6, 7), 8, (0, 1, 8, 4, 5, 6, 2, 3, 7)),
-    ("H5", path_plus(9, [(0, 3), (2, 7)], [1, 3, 6]),
-     (0, 1, 2, 3, 4, 5, 6, 7), 8, (0, 3, 4, 5, 6, 8, 1, 2, 7)),
-    ("H5", path_plus(11, [(0, 4), (1, 5)], [0, 3, 6, 9]),
-     (0, 1, 2, 3, 4, 5, 6, 7, 8, 9), 10, (0, 4, 5, 1, 2, 3, 10, 6, 7, 8, 9)),
-    ("H5", path_plus(8, [(0, 2), (1, 5)], [0, 3, 6]),
-     (0, 1, 2, 3, 4, 5, 6), 7, (0, 2, 1, 5, 4, 3, 7, 6)),
-    ("H5", path_plus(12, [(0, 7), (3, 8)], [1, 4, 7, 10]),
-     (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10), 11,
-     (0, 7, 6, 5, 4, 11, 1, 2, 3, 8, 9, 10)),
-    ("H5", path_plus(13, [(4, 8), (1, 9), (0, 7)], [2, 5, 8, 11]),
-     (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11), 12,
-     (0, 7, 6, 5, 12, 8, 4, 3, 2, 1, 9, 10, 11)),
-    ("H5", path_plus(13, [(5, 10), (1, 6), (0, 4)], [2, 5, 8, 11]),
-     (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11), 12,
-     (0, 4, 3, 2, 1, 6, 7, 8, 9, 10, 5, 12, 11)),
-    ("H5", path_plus(13, [(0, 5), (6, 10), (3, 9)], [1, 4, 8, 11]),
-     (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11), 12,
-     (0, 5, 4, 12, 1, 2, 3, 9, 8, 7, 6, 10, 11)),
-    ("H5", path_plus(13, [(1, 7), (2, 10), (0, 9)], [1, 4, 8, 11]),
-     (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11), 12,
-     (0, 9, 8, 12, 1, 7, 6, 5, 4, 3, 2, 10, 11)),
-    ("H5", path_plus(12, [(1, 9), (2, 6), (0, 5)], [1, 4, 7, 10]),
-     (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10), 11,
-     (0, 5, 4, 3, 2, 6, 7, 8, 9, 1, 11, 10)),
 ]
 
 NEGATIVE_CASES = [
-    ("E1", path_plus(5, [], [1, 3]), (0, 1, 2, 3), 4),
-    ("E1", HZB, HZB_PATH, 7),
-    ("H1", Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (6, 0), (6, 3),
-                                (1, 3)]),
+    ("F", path_plus(5, [], [1, 3]), (0, 1, 2, 3), 4),
+    # H = 4-5 touches path vertices 1 and 3 only, which are not consecutive
+    ("F", Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (4, 5), (1, 4), (3, 5)]), (0, 1, 2, 3), 4),
+    ("X", path_plus(7, [], [1, 4]), (0, 1, 2, 3, 4, 5), 6),
+    # the chord 2 ~ 4 joins neither the successors nor the predecessors
+    ("X", path_plus(7, [(2, 4)], [0, 3]), (0, 1, 2, 3, 4, 5), 6),
+    ("X", Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (6, 7), (0, 6), (3, 7)]),
      (0, 1, 2, 3, 4, 5), 6),
-    ("H2", path_plus(7, [(0, 2)], [1, 4]), (0, 1, 2, 3, 4, 5), 6),
-    ("H3", path_plus(7, [(0, 4)], [1, 3]), (0, 1, 2, 3, 4, 5), 6),
     ("E3", path_plus(6, [], [0, 2]), (0, 1, 2, 3, 4), 5),
-    ("H4", path_plus(9, [], [0, 2, 4]), (0, 1, 2, 3, 4, 5, 6, 7), 8),
-    ("H5", path_plus(9, [], [1, 4, 7]), (0, 1, 2, 3, 4, 5, 6, 7), 8),
 ]
 
 
@@ -397,17 +350,17 @@ def test_engine_on_join_exception_family(k):
 def test_join_witness_only_on_pairs_it_refutes():
     # G?~vnk is an independent 4-set {0..3} joined to a 4-vertex graph
     # with edges.  A pair inside the independent part has a Hamilton path,
-    # so the graph-level witness must not be attached to it; a pair inside
-    # the rest has none, and the witness refutes it by counting.
+    # so the graph-level witness must not refute it; a pair inside the
+    # rest has none, and the witness refutes it by counting.
     g = from_graph6("G?~vnk")
-    assert exception_witness(g, 4).independent_part == (0, 1, 2, 3)
-    res = improve(g, 0, 1, k=4)
-    assert res.outcome == "stalled"
-    assert res.certificate is None or res.certificate.kind != "join-witness"
+    w = exception_witness(g, 4)
+    assert w.independent_part == (0, 1, 2, 3)
+    assert not w.refutes(g, 0, 1)
     assert hamilton_uv_path(g, 0, 1) is not None
+    assert w.refutes(g, 4, 5)
+    assert hamilton_uv_path(g, 4, 5) is None
     res = improve(g, 4, 5, k=4)
     assert res.outcome == "stalled" and res.certificate.kind == "join-witness"
-    assert hamilton_uv_path(g, 4, 5) is None
 
 
 def test_stall_certificates_are_exact():
@@ -436,13 +389,14 @@ def test_stall_certificates_are_exact():
                     assert len(cert.vertices) == k + 1
                     inside = sum(1 for a, b in combinations(cert.vertices, 2) if g.has_edge(a, b))
                     assert inside <= 1
-    assert stalls == 3438
+    assert stalls == 3234
 
 
 def test_stalled_states_satisfy_longest_path_invariants():
     # in hypothesis graphs that are not exceptions, a stalled single-missing
     # state must have non-consecutive anchors and independent successor and
-    # predecessor sets, else the insert/rotate rule E1 would have fired
+    # predecessor sets, else the fan insertion F or the crossing X would
+    # have fired
     for k in (2, 3):
         for n in range(k + 1, 7):
             for g in enumerate_connected(n):
@@ -472,8 +426,8 @@ def test_stalled_states_satisfy_longest_path_invariants():
 
 
 # pinned engine output: a speed-up must leave both unchanged
-ENGINE_GOLDEN_SHA256 = "c0d82467d293603971fca2e5ffc419efb3dcda9c5e9acf886ab29a5b58aca2fe"
-ENGINE_GOLDEN_STALLS = {2: (3, 0), 3: (83, 68), 4: (0, 0)}
+ENGINE_GOLDEN_SHA256 = "7e600870a226b550fdb8d80e55c74bbe8a791065be36d870525aa6013ec08414"
+ENGINE_GOLDEN_STALLS = {2: (3, 0), 3: (15, 0), 4: (0, 0)}
 
 
 def _engine_sweep():
@@ -509,21 +463,34 @@ def test_engine_golden_digest():
     assert digest == ENGINE_GOLDEN_SHA256
 
 
-def test_engine_stalls_at_order_eight():
-    # per k, (stalls, stalls that do have a Hamilton path) of improve() on
-    # every pair of every k-connected [k+1,2]-graph of order exactly 8
+def _stalls_at_order(n):
+    """Per k, (stalls, stalls that do have a Hamilton path) of improve() on
+    every pair of every k-connected [k+1,2]-graph of order exactly n."""
     stalls = {}
     for k in (2, 3, 4):
         total = with_path = 0
-        for g in enumerate_connected(8):
+        for g in enumerate_connected(n):
             if not is_st_graph(g, k + 1, 2) or not is_k_connected(g, k):
                 continue
-            for u, v in combinations(range(8), 2):
+            for u, v in combinations(range(n), 2):
                 if improve(g, u, v, k=k).outcome == "stalled":
                     total += 1
                     with_path += hamilton_uv_path(g, u, v) is not None
         stalls[k] = (total, with_path)
-    assert stalls == {2: (0, 0), 3: (441, 441), 4: (151, 79)}
+    return stalls
+
+
+def test_engine_stalls_at_order_eight():
+    # the 72 stalls for k = 4 are the pairs with no Hamilton path
+    assert _stalls_at_order(8) == {2: (0, 0), 3: (0, 0), 4: (72, 0)}
+
+
+@pytest.mark.slow
+def test_engine_never_stalls_at_order_nine():
+    # every pair of every k-connected [k+1,2]-graph of order 9 has a
+    # Hamilton path (n = 9 is odd, so no join exception kK1 v G_k exists),
+    # and the engine finds each one
+    assert _stalls_at_order(9) == {2: (0, 0), 3: (0, 0), 4: (0, 0)}
 
 
 def _walk_paths(g, rng):
@@ -553,17 +520,64 @@ def _walk_views(seed):
                             yield g, anchored_path(g, base, y)
 
 
+def _component_of(g, path, y):
+    """Vertex set of the component of G - V(path) that holds y."""
+    comp, stack = {y}, [y]
+    while stack:
+        for w in g.neighbors(stack.pop()):
+            if w not in comp and w not in path:
+                comp.add(w)
+                stack.append(w)
+    return comp
+
+
+def _attachments(g, path, y):
+    """Positions of the path vertices adjacent to y's component of G - V(path)."""
+    comp = _component_of(g, path, y)
+    return [i for i, w in enumerate(path) if any(g.has_edge(w, x) for x in comp)]
+
+
 def test_rules_never_match_fewer_than_two_anchors():
-    # every matcher pairs two anchors, so the engine may skip such views
+    # every matcher pairs two anchors of its outside vertex, so the engine
+    # skips such views, or for a component move two attachments of its
+    # component
     one_anchor_with_others = 0  # the views with a second outside vertex
     for g, ap in _walk_views(83):
-        if len(ap.anchors) >= 2:
-            continue
-        if ap.anchors and len(ap.path) <= g.n - 2:
+        if ap.anchors and len(ap.anchors) < 2 and len(ap.path) <= g.n - 2:
             one_anchor_with_others += 1
         for rule in RULE_CATALOG:
+            if rule.component:
+                if len(_attachments(g, ap.path, ap.outside)) >= 2:
+                    continue
+            elif len(ap.anchors) >= 2:
+                continue
             assert rule.matcher(g, ap) is None, (rule.id, g.adj, ap.path, ap.outside)
     assert one_anchor_with_others > 1000
+
+
+def test_component_moves_on_walk_views():
+    # F and X on every walk view: a result is a path between the same
+    # ends, longer, and adds only vertices of the outside vertex's
+    # component; each move and X's reversed branch occur
+    fired = Counter()
+    for g, ap in _walk_views(89):
+        comp = _component_of(g, ap.path, ap.outside)
+        for rule in RULE_CATALOG:
+            if not rule.component:
+                continue
+            out = rule.matcher(g, ap)
+            if out is None:
+                continue
+            assert validate_path(g, out, ap.path[0], ap.path[-1]), (rule.id, g.adj, ap)
+            assert len(out) > len(ap.path)
+            assert set(out) - set(ap.path) <= comp
+            fired[rule.id] += 1
+            # only a crossing found on the reversed path changes the
+            # path before the first vertex of H
+            j = next(i for i, w in enumerate(out) if w in comp)
+            if rule.id == "X" and out[:j] != ap.path[:j]:
+                fired["X reversed"] += 1
+    assert all(fired[key] > 0 for key in ("F", "X", "X reversed")), fired
 
 
 def test_rules_never_match_below_min_order():
@@ -581,29 +595,26 @@ def test_rules_never_match_below_min_order():
 
 
 def _reference_find_move(g, path):
-    """_find_move as it was before views were built on demand: every view
-    built up front, every rule run on every view."""
-    last = len(path) - 1
-    rest = g.full_mask() & ~mask_of(path)
-    rev = path[::-1]
+    """_find_move with every view built up front, then F, X and E3 run in
+    turn: F and X on one view per component of G - V(path), named by its
+    lowest vertex; E3 on the view of every outside vertex with two
+    anchors, then on the reversed path's views."""
+    rest = [y for y in range(g.n) if y not in path]
+    heads = sorted({min(_component_of(g, path, y)) for y in rest})
+    heads = [anchored_path(g, path, y) for y in heads]
     forward, backward = [], []
-    for y in bits(rest):
+    for y in rest:
         ap = anchored_path(g, path, y)
         if len(ap.anchors) < 2:
             continue
-        mirrored = tuple([last - i for i in reversed(ap.anchors)])
         forward.append((False, ap))
-        backward.append((True, AnchoredPath(rev, y, mirrored)))
-    views = forward + backward
+        backward.append((True, anchored_path(g, path[::-1], y)))
     for rule in RULE_CATALOG:
+        views = [(False, ap) for ap in heads] if rule.component else forward + backward
         for reversed_base, ap in views:
             seq = apply_rule(g, ap, rule)
-            if seq is None:
-                continue
-            new_path = seq[::-1] if reversed_base else seq
-            new_ap = anchor(g, new_path)
-            new_rho = new_ap.rho if new_ap else 0
-            return rule.id, new_path, ap.rho, new_rho
+            if seq is not None:
+                return rule.id, seq[::-1] if reversed_base else seq
     return None
 
 
@@ -619,7 +630,7 @@ def test_find_move_matches_eager_reference():
                 assert _find_move(g, path) == want, (g.adj, path)
                 moves[want[0] if want else None] += 1
                 outside_counts[n - len(path)] += 1
-    assert moves[None] > 0, moves  # stalls
+    assert all(moves[r] > 0 for r in (None, "F", "X", "E3")), moves
     assert all(outside_counts[m] > 1000 for m in range(1, 6)), outside_counts
     # the engine's hot inputs: the seed of every pair, short and with many
     # vertices outside
@@ -635,7 +646,7 @@ def test_find_move_matches_eager_reference():
                 seed_moves[want[0] if want else None] += 1
                 seed_outside[n - len(path)] += 1
     assert all(seed_outside[m] > 500 for m in range(1, 5)), seed_outside
-    assert all(seed_moves[r] > 0 for r in (None, "E1", "H1", "H2")), seed_moves
+    assert all(seed_moves[r] > 0 for r in (None, "F", "X")), seed_moves
 
 
 def _reference_seed_path(g, u, v):

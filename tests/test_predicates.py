@@ -479,6 +479,24 @@ def test_exception_family_invariants(k):
         assert not is_hamiltonian_connected(g)
 
 
+def test_join_witness_refutes_only_pairs_without_hamilton_path():
+    # every join exception kK1 v G_k of order 2k <= 8: each labeled core
+    # G_k is tried, so every isomorphism class is covered.  A pair the
+    # witness refutes by counting has no Hamilton path.
+    refuted = 0
+    for k in range(1, 5):
+        core_edges = list(combinations(range(k), 2))
+        for m in range(1 << len(core_edges)):
+            core = Graph.from_edges(k, [e for i, e in enumerate(core_edges) if (m >> i) & 1])
+            g = join(empty_graph(k), core)
+            w = exception_witness(g, k)
+            for u, v in combinations(range(2 * k), 2):
+                if w.refutes(g, u, v):
+                    refuted += 1
+                    assert hamilton_uv_path(g, u, v) is None, (g.adj, u, v)
+    assert refuted > 0
+
+
 # -- petersen recognition -------------------------------------------------------
 
 
