@@ -32,7 +32,7 @@ from stgraphs.predicates import (
     vertex_connectivity,
 )
 from stgraphs.verify import brute_force_connected, enumerate_connected
-from test_pathengine import NEGATIVE_CASES, POSITIVE_CASES
+from test_pathengine import NEGATIVE_CASES, POSITIVE_CASES, case_moves, first_move
 
 
 def run_cli(capsys, *argv):
@@ -220,20 +220,22 @@ def test_criterion_7_engine_oracle_sweep(acceptance_log):
 
 
 def test_criterion_8_rule_transcription(acceptance_log):
-    from stgraphs.pathengine import RULES_BY_ID, anchored_path, apply_rule
+    from stgraphs.pathengine import apply_rule
 
     t0 = time.time()
     ok = True
     fired = set()
     for rule_id, g, path, y, expected in POSITIVE_CASES:
-        out = apply_rule(g, anchored_path(g, path, y), RULES_BY_ID[rule_id])
+        ap, moves = case_moves(rule_id, g, path, y)
+        out = first_move(g, ap, moves)
         if out != expected or not validate_path(g, out, path[0], path[-1]):
             ok = False
         fired.add(rule_id)
     for rule_id, g, path, y in NEGATIVE_CASES:
-        if apply_rule(g, anchored_path(g, path, y), RULES_BY_ID[rule_id]) is not None:
+        ap, moves = case_moves(rule_id, g, path, y)
+        if any(apply_rule(g, ap, m) is not None for m in moves):
             ok = False
-    ok = ok and fired == {r.id for r in RULE_CATALOG}
+    ok = ok and {r.id for r in RULE_CATALOG} <= fired
     record(
         acceptance_log, 8, ok, time.time() - t0, 1,
         f"all {len(RULE_CATALOG)} moves have validated positive and failing negative instances",
