@@ -17,20 +17,20 @@ kK1 v G_k (order 2k) when it refutes the pair by counting, else, given
 k, a (k+1)-set with at most one edge, found by the exact [k+1,2]
 search, so G is not a [k+1,2]-graph; else none.
 
-Each search for a move indexes the path once: one pass records the
-position of every path vertex and the path's vertex mask, and one search
-finds the components of G - V(P), which the views carry.  F and X run
-on one view per component, named by its lowest vertex; E3 runs on one
-view per outside vertex with at least two path neighbours, forward and
-then mirrored.  A view's anchors are the positions of its vertex's
+Each search for a move reads the path once for its vertex mask, and
+one search finds the components of G - V(P).  F and X run on one view
+per component, named by its lowest vertex; these views carry no
+anchors, since neither move reads them.  E3 runs on one view per
+outside vertex with at least two path neighbours, forward and then
+mirrored.  Only a search that reaches E3 indexes the path positions and
+builds these views, whose anchors are the positions of the vertex's
 neighbour bits on the path, sorted; the mirrored view mirrors them.
-Views are built on demand, in the order the moves try them, so a move
-found on the first view builds only that one.  Each move records
-``min_order``, the fewest path vertices its index constraints allow a
-match on, and a table built at import lists, for each path order, the
-moves that can run on it.  The seed path's degree levels are computed
-once per graph.  Matchers and path checks test bits of the adjacency
-rows ``g.adj`` directly.
+Each move records ``min_order``, the fewest path vertices its index
+constraints allow a match on, and a table built at import lists, for
+each path order, the moves that can run on it.  The seed path is a
+greedy walk from u or, when that does not close into v, from v; the
+degree levels it follows are computed once per graph.  Matchers and
+path checks test bits of the adjacency rows ``g.adj`` directly.
 """
 
 from __future__ import annotations
@@ -77,8 +77,10 @@ class AnchoredPath(NamedTuple):
 
     ``anchors`` lists exactly the path positions adjacent to ``outside``,
     ascending; ``component`` is the vertex mask of the component of
-    G - V(path) that holds ``outside``.  A named tuple, since the engine
-    builds one per view.
+    G - V(path) that holds ``outside``.  Views from ``anchored_path`` and
+    the engine's E3 views carry anchors; the engine's F and X views have
+    ``anchors == ()``, since those moves read only the component.  A
+    named tuple, since the engine builds one per view.
     """
 
     path: tuple[int, ...]
@@ -116,6 +118,8 @@ def _h_path(adj, h: int, src: int, dst: int) -> tuple[int, ...]:
     """A shortest path inside the connected vertex set h from a vertex of
     src to a vertex of dst (nonempty subsets of h), by breadth-first
     search; ties go to the lower vertex id."""
+    if src & dst:
+        return ((src & dst & -(src & dst)).bit_length() - 1,)
     parent = {}
     seen = frontier = src
     while not frontier & dst:
@@ -362,27 +366,31 @@ def _degree_levels(adj: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _seed_path(g: Graph, u: int, v: int):
-    """Greedy highest-degree extension from u (lowest id on ties),
-    closing into v; falls back to a breadth-first (u,v)-path.  None when
-    v is unreachable."""
+    """Greedy highest-degree walk from u (lowest id on ties) through the
+    vertices other than v, closing into v.  When that walk ends away
+    from v, the same walk from v toward u, reversed, if it closes into
+    u.  Else the edge uv or a breadth-first (u,v)-path.  None when v is
+    unreachable."""
     adj = g.adj
     levels = _degree_levels(adj)
     free = g.full_mask() & ~(1 << u) & ~(1 << v)
-    seq = [u]
-    cur = u
-    while True:
-        cands = adj[cur] & free
-        if not cands:
-            break
-        for m in levels:
-            m &= cands
-            if m:
+    for start, end in ((u, v), (v, u)):
+        seq = [start]
+        cur, left = start, free
+        while True:
+            cands = adj[cur] & left
+            if not cands:
                 break
-        cur = (m & -m).bit_length() - 1
-        seq.append(cur)
-        free ^= 1 << cur
-    if (adj[cur] >> v) & 1:
-        return tuple(seq) + (v,)
+            for m in levels:
+                m &= cands
+                if m:
+                    break
+            cur = (m & -m).bit_length() - 1
+            seq.append(cur)
+            left ^= 1 << cur
+        if (adj[cur] >> end) & 1:
+            seq.append(end)
+            return tuple(seq) if start == u else tuple(reversed(seq))
     if (adj[u] >> v) & 1:
         return (u, v)  # the breadth-first search's first expansion reaches v
     parent = {u: None}
@@ -408,55 +416,49 @@ def _find_move(g: Graph, path: tuple[int, ...]):
     """First applicable move in catalog order.  Returns (rule_id,
     new_path) or None.
 
-    One pass over the path fills the position index ``pos`` and the path
-    mask, and one search gives the components of G - V(P), each view
-    carrying its vertex's.  Component moves see each component, in order
-    of its lowest vertex, which names its view.  Other moves see each
-    outside vertex y whose row ``hit``, masked to the path, has at least
-    two bits, ascending, and then the same vertices on the mirrored
-    path.  A view is built when the first move reaches it, its anchors
-    being the positions of the bits of ``hit``, sorted; the mirrored view
-    mirrors them (anchor i becomes last - i).  Views are kept for the
-    later moves, so a move found early builds few views.  Only the moves
-    whose ``min_order`` the path reaches run, as listed by
+    One pass over the path gives its vertex mask, and one search the
+    components of G - V(P).  Component moves see one view per component,
+    in order of its lowest vertex, which names the view; these views
+    carry no anchors, since F and X read only the component.  Other
+    moves see each outside vertex y whose row ``hit``, masked to the
+    path, has at least two bits, ascending, and then the same vertices
+    on the mirrored path.  Those views are built when the first such
+    move is reached: the position index ``pos`` gives the anchors, the
+    positions of the bits of ``hit``, sorted; the mirrored view mirrors
+    them (anchor i becomes last - i).  Only the moves whose
+    ``min_order`` the path reaches run, as listed by
     ``_RULES_BY_ORDER``.  Every match goes through ``apply_rule``, looked
     up as a module global on each call, so a wrapper bound to that name
     (the benchmark's tracer) sees every call."""
-    adj, n = g.adj, g.n
-    last = len(path) - 1
-    pos = [0] * n
+    adj = g.adj
     path_mask = 0
-    for i, w in enumerate(path):
-        pos[w] = i
+    for w in path:
         path_mask |= 1 << w
-    comps = component_masks(adj, ((1 << n) - 1) ^ path_mask)
-    pairs = None  # (y, component) for each outside vertex y with two path neighbours
-    views = {}  # (y, mirrored) -> view
-    for rule in _RULES_BY_ORDER[last + 1]:
+    comps = component_masks(adj, g.full_mask() ^ path_mask)
+    heads = [(False, AnchoredPath(path, (h & -h).bit_length() - 1, (), h)) for h in comps]
+    anchored = None  # (mirrored, view) of each outside vertex with two path neighbours
+    for rule in _RULES_BY_ORDER[len(path)]:
         if rule.component:
-            keys = [((h & -h).bit_length() - 1, h, False) for h in comps]
+            views = heads
         else:
-            if pairs is None:
-                pairs = sorted(
-                    (y, h) for h in comps for y in bits(h) if (adj[y] & path_mask).bit_count() >= 2
-                )
-            keys = [(y, h, False) for y, h in pairs] + [(y, h, True) for y, h in pairs]
-        for y, h, mirrored in keys:
-            ap = views.get((y, mirrored))
-            if ap is None:
-                if mirrored:
-                    anchors = tuple([last - a for a in reversed(views[y, False].anchors)])
-                    ap = AnchoredPath(path[::-1], y, anchors, h)
-                else:
+            if anchored is None:
+                last = len(path) - 1
+                pos = [0] * g.n
+                for i, w in enumerate(path):
+                    pos[w] = i
+                fwd = []
+                for y, h in sorted((y, h) for h in comps for y in bits(h)):
                     hit = adj[y] & path_mask
-                    anchors = []
-                    while hit:
-                        low = hit & -hit
-                        hit ^= low
-                        anchors.append(pos[low.bit_length() - 1])
-                    anchors.sort()
-                    ap = AnchoredPath(path, y, tuple(anchors), h)
-                views[y, mirrored] = ap
+                    if hit.bit_count() >= 2:
+                        anchors = tuple(sorted([pos[w] for w in bits(hit)]))
+                        fwd.append(AnchoredPath(path, y, anchors, h))
+                back = path[::-1]
+                anchored = [(False, ap) for ap in fwd] + [
+                    (True, AnchoredPath(back, y, tuple([last - a for a in reversed(A)]), h))
+                    for _, y, A, h in fwd
+                ]
+            views = anchored
+        for mirrored, ap in views:
             seq = apply_rule(g, ap, rule)
             if seq is not None:
                 return rule.id, seq[::-1] if mirrored else seq

@@ -244,17 +244,11 @@ FIND_PATH_TRANSCRIPTS = [
         "fallback: no hamilton path exists\n",
     ),
     (
-        # a 3-connected [4,2]-graph; the fifth fan insertion puts a
-        # two-vertex H-path into the path
+        # a 3-connected [4,2]-graph whose seed path is already a
+        # Hamilton path: the walk from 1 gets stuck, the walk from 2 does not
         ("find-path", "HzboPtU", "--u", "1", "--v", "2", "--k", "3", "--trace"),
         0,
-        "move: F len 2->3\n"
-        "move: F len 3->4\n"
-        "move: F len 4->5\n"
-        "move: F len 5->6\n"
-        "move: F len 6->8\n"
-        "move: F len 8->9\n"
-        "hamilton-path: 1 8 6 4 7 3 5 0 2\n",
+        "hamilton-path: 1 8 6 7 4 0 5 3 2\n",
     ),
     (
         # the graph is a join exception, but this pair has a Hamilton path,
@@ -285,6 +279,14 @@ FIND_PATH_TRANSCRIPTS = [
         0,
         "move: E3 len 7->8\n"
         "hamilton-path: 3 2 6 0 5 4 1 7\n",
+    ),
+    (
+        # a 3-connected [4,2]-graph; the fan insertion puts a two-vertex
+        # H-path into the path
+        ("find-path", "ELvw", "--u", "3", "--v", "5", "--k", "3", "--trace"),
+        0,
+        "move: F len 4->6\n"
+        "hamilton-path: 3 2 1 4 0 5\n",
     ),
 ]
 

@@ -460,7 +460,7 @@ def test_stalled_states_satisfy_longest_path_invariants():
 
 
 # pinned engine output: a speed-up must leave both unchanged
-ENGINE_GOLDEN_SHA256 = "7e600870a226b550fdb8d80e55c74bbe8a791065be36d870525aa6013ec08414"
+ENGINE_GOLDEN_SHA256 = "062e3fc6a09bc8d7746fefc4809415e41c3fa617789acd5a0246c3931a149482"
 ENGINE_GOLDEN_STALLS = {2: (3, 0), 3: (15, 0), 4: (0, 0)}
 
 
@@ -517,6 +517,19 @@ def _stalls_at_order(n):
 def test_engine_stalls_at_order_eight():
     # the 72 stalls for k = 4 are the pairs with no Hamilton path
     assert _stalls_at_order(8) == {2: (0, 0), 3: (0, 0), 4: (72, 0)}
+
+
+def test_engine_stalls_on_connected_graphs_to_order_seven():
+    # outside the hypothesis, k = None: (stalls, stalls that do have a
+    # Hamilton path) over every pair of every connected graph with n <= 7
+    stalls = with_path = 0
+    for n in range(2, 8):
+        for g in enumerate_connected(n):
+            for u, v in combinations(range(n), 2):
+                if improve(g, u, v).outcome == "stalled":
+                    stalls += 1
+                    with_path += hamilton_uv_path(g, u, v) is not None
+    assert (stalls, with_path) == (10498, 50)
 
 
 @pytest.mark.slow
@@ -614,6 +627,22 @@ def test_component_moves_on_walk_views():
     assert all(fired[key] > 0 for key in ("F", "X", "X reversed")), fired
 
 
+def test_component_moves_ignore_anchors():
+    # the engine's F and X views carry no anchors and name the
+    # component's lowest vertex: on every walk view, both moves must give
+    # what they give on the anchored_path view
+    fired = Counter()
+    for g, ap in _walk_views(89):
+        h = ap.component
+        bare = ap._replace(outside=(h & -h).bit_length() - 1, anchors=())
+        for rule in RULE_CATALOG:
+            if rule.component:
+                out = rule.matcher(g, bare)
+                assert out == rule.matcher(g, ap), (rule.id, g.adj, ap)
+                fired[rule.id] += out is not None
+    assert fired["F"] > 0 and fired["X"] > 0, fired
+
+
 def test_rules_never_match_below_min_order():
     # the engine skips a rule on paths shorter than its min_order; each
     # minimum is also reached, so none is set higher than the matcher needs
@@ -669,7 +698,7 @@ def test_find_move_matches_eager_reference():
     # the engine's hot inputs: the seed of every pair, short and with many
     # vertices outside
     seed_moves, seed_outside = Counter(), Counter()
-    for n in range(3, 7):
+    for n in range(3, 8):
         for g in enumerate_connected(n):
             for u, v in permutations(range(n), 2):
                 path = _seed_path(g, u, v)
@@ -680,23 +709,34 @@ def test_find_move_matches_eager_reference():
                 seed_moves[want[0] if want else None] += 1
                 seed_outside[n - len(path)] += 1
     assert all(seed_outside[m] > 500 for m in range(1, 5)), seed_outside
-    assert all(seed_moves[r] > 0 for r in (None, "F", "X")), seed_moves
+    assert all(seed_moves[r] > 0 for r in (None, "F", "X", "E3")), seed_moves
 
 
-def _reference_seed_path(g, u, v):
-    """_seed_path as its docstring states it: extend from u to the unused
-    neighbor (other than v) of highest degree, lowest id on ties, until
-    stuck; close into v if adjacent, else a breadth-first (u,v)-path."""
-    seq, cur = [u], u
+def _reference_walk(g, a, b):
+    """The greedy walk from a: to the unused neighbor (other than b) of
+    highest degree, lowest id on ties, until stuck; closed into b if
+    adjacent, else None."""
+    seq, cur = [a], a
     while True:
-        cands = [w for w in g.neighbors(cur) if w not in seq and w != v]
+        cands = [w for w in g.neighbors(cur) if w not in seq and w != b]
         if not cands:
             break
         top = max(g.degree(w) for w in cands)
         cur = min(w for w in cands if g.degree(w) == top)
         seq.append(cur)
-    if g.has_edge(cur, v):
-        return tuple(seq) + (v,)
+    return tuple(seq) + (b,) if g.has_edge(cur, b) else None
+
+
+def _reference_seed_path(g, u, v):
+    """_seed_path as its docstring states it: the walk from u closed into
+    v; else the walk from v closed into u, reversed; else a breadth-first
+    (u,v)-path, which is the edge uv when there is one."""
+    walk = _reference_walk(g, u, v)
+    if walk is None:
+        back = _reference_walk(g, v, u)
+        walk = back and back[::-1]
+    if walk is not None:
+        return walk
     parent, layer = {u: u}, [u]
     while layer:
         nxt = []
@@ -716,6 +756,7 @@ def _reference_seed_path(g, u, v):
 
 def test_seed_path_matches_reference():
     stuck_next_to_v = 0  # pairs answered by the bare edge after a stuck walk
+    from_v = 0  # pairs whose seed is the walk from v
     for n in range(2, 8):
         for g in enumerate_connected(n):
             for u in range(n):
@@ -726,7 +767,12 @@ def test_seed_path_matches_reference():
                         # a walk that leaves u and closes into v is longer
                         # than the edge, so this edge follows a stuck walk
                         stuck_next_to_v += got == (u, v) and g.adj[u] != 1 << v
+                        from_v += (
+                            _reference_walk(g, u, v) is None
+                            and _reference_walk(g, v, u) is not None
+                        )
     assert stuck_next_to_v > 0
+    assert from_v > 0
     g = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
     assert _seed_path(g, 0, 4) is None and _reference_seed_path(g, 0, 4) is None
     assert _seed_path(g, 2, 0) == (2, 1, 0)
