@@ -164,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes, at least 1 (at most one per CPU is used)")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("find-path", help="hamilton path via rewiring rules + fallback")
+    p = sub.add_parser("find-path", help="hamilton path via path-extension moves + fallback")
     p.add_argument("graph6")
     p.add_argument("--u", type=int, required=True)
     p.add_argument("--v", type=int, required=True)

@@ -18,28 +18,26 @@ k, a (k+1)-set with at most one edge, found by the exact [k+1,2]
 search, so G is not a [k+1,2]-graph; else none.
 
 Each search for a move reads the path once for its vertex mask, and
-one search finds the components of G - V(P).  F and X run on one view
-per component, named by its lowest vertex; these views carry no
-anchors, since neither move reads them.  E3 runs on one view per
-outside vertex with at least two path neighbours, forward and then
-mirrored.  Only a search that reaches E3 indexes the path positions and
-builds these views, whose anchors are the positions of the vertex's
-neighbour bits on the path, sorted; the mirrored view mirrors them.
-Each move records ``min_order``, the fewest path vertices its index
-constraints allow a match on, and a table built at import lists, for
-each path order, the moves that can run on it.  The seed path is a
-greedy walk from u or, when that does not close into v, from v; the
-degree levels it follows are computed once per graph.  Matchers and
-path checks test bits of the adjacency rows ``g.adj`` directly.
+one search finds the components of G - V(P).  The moves are three plain
+functions that ``_find_move`` calls in turn: F and X take the path and
+one component's vertex mask, tried on each component by lowest vertex;
+E3 takes the path, an outside vertex and its anchors (the positions of
+its path neighbours, ascending), tried on each outside vertex with at
+least two anchors, forward and then on the mirrored path.  Only a
+search that reaches E3 indexes the path positions.  Every move found is
+validated by ``apply_rule``.  The seed path is a greedy walk from u or,
+when that does not close into v, from v; the degree levels it follows
+are computed once per graph.  Moves and path checks test bits of the
+adjacency rows ``g.adj`` directly.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple
 
-from .graphcore import MAX_VERTICES, Graph, bits, component_masks, mask_of
+from .graphcore import Graph, bits, component_masks
 from .predicates import JoinWitness, hamilton_uv_path, join_witness, sparsest_induced_set
 
 
@@ -71,47 +69,13 @@ def validate_path(g: Graph, seq, u: int, v: int) -> bool:
     return True
 
 
-class AnchoredPath(NamedTuple):
-    """A path together with one outside vertex, its anchor indices and
-    its component.
-
-    ``anchors`` lists exactly the path positions adjacent to ``outside``,
-    ascending; ``component`` is the vertex mask of the component of
-    G - V(path) that holds ``outside``.  Views from ``anchored_path`` and
-    the engine's E3 views carry anchors; the engine's F and X views have
-    ``anchors == ()``, since those moves read only the component.  A
-    named tuple, since the engine builds one per view.
-    """
-
-    path: tuple[int, ...]
-    outside: int
-    anchors: tuple[int, ...]
-    component: int
-
-
-def anchored_path(g: Graph, path, outside: int) -> AnchoredPath:
-    path = tuple(path)
-    row = g.adj[outside]
-    rest = g.full_mask() & ~mask_of(path)
-    h = next(h for h in component_masks(g.adj, rest) if (h >> outside) & 1)
-    return AnchoredPath(path, outside, tuple([i for i, w in enumerate(path) if (row >> w) & 1]), h)
-
-
-def anchor(g: Graph, path) -> Optional[AnchoredPath]:
-    """Anchored view when exactly one vertex lies outside the path."""
-    rest = g.full_mask() & ~mask_of(path)
-    if rest.bit_count() != 1:
-        return None
-    return anchored_path(g, path, rest.bit_length() - 1)
-
-
 # -- moves -----------------------------------------------------------------
 #
-# Each matcher scans a view for its pattern and returns the first
+# Each move scans the path for its pattern and returns the first
 # rewired vertex sequence, or None.  Index conventions: p is the path
 # tuple, last its last index, y the outside vertex, A the anchor (or
-# attachment) index list, h the vertex mask of the view's component H,
-# adj the adjacency rows (bit w of adj[x] is the edge xw).
+# attachment) index list, h the vertex mask of a component H of
+# G - V(P), adj the adjacency rows (bit w of adj[x] is the edge xw).
 
 
 def _h_path(adj, h: int, src: int, dst: int) -> tuple[int, ...]:
@@ -137,12 +101,10 @@ def _h_path(adj, h: int, src: int, dst: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def _rule_f(g: Graph, ap: AnchoredPath):
+def _rule_f(adj, p: tuple[int, ...], h: int):
     """Fan insertion: at the first consecutive positions i, i+1 that both
     have neighbours in H, insert a shortest H-path from N(p_i) to
     N(p_{i+1}) between them."""
-    p, h = ap.path, ap.component
-    adj = g.adj
     src = adj[p[0]] & h
     for i in range(len(p) - 1):
         dst = adj[p[i + 1]] & h
@@ -152,13 +114,12 @@ def _rule_f(g: Graph, ap: AnchoredPath):
     return None
 
 
-def _rule_x(g: Graph, ap: AnchoredPath):
+def _rule_x(adj, path: tuple[int, ...], h: int):
     """Crossing: for attachments a < b < last of H with p_{a+1} ~ p_{b+1},
     route p_0..p_a, an H-path from N(p_a) to N(p_b), p_b..p_{a+1}, then
     p_{b+1}..p_last.  Tried on the path, then on its reverse, where the
     successors are the predecessors of the path as given."""
-    adj, h = g.adj, ap.component
-    for reverse, p in ((False, ap.path), (True, ap.path[::-1])):
+    for reverse, p in ((False, path), (True, path[::-1])):
         A = [i for i in range(len(p) - 1) if adj[p[i]] & h]
         for ai, a in enumerate(A):
             row = adj[p[a + 1]]
@@ -174,11 +135,10 @@ def _rule_x(g: Graph, ap: AnchoredPath):
     return None
 
 
-def _rule_e3(g: Graph, ap: AnchoredPath):
-    """Chord-detour extensions around an anchor a whose predecessor has
-    two consecutive path neighbors w, w+1; eight routing variants."""
-    p, y, A, _ = ap
-    adj = g.adj
+def _rule_e3(adj, p: tuple[int, ...], y: int, A):
+    """Chord-detour extensions around an anchor a of y (A lists the path
+    positions adjacent to y, ascending) whose predecessor has two
+    consecutive path neighbors w, w+1; eight routing variants."""
     last = len(p) - 1
     aset = set(A)
     for a in A:
@@ -263,54 +223,17 @@ def _rule_e3(g: Graph, ap: AnchoredPath):
     return None
 
 
-@dataclass(frozen=True)
-class RewriteRule:
-    """A cataloged move.  ``min_order`` is the fewest path vertices on
-    which ``matcher`` can return a sequence; the engine does not run the
-    move on shorter paths.  A ``component`` move runs once per component
-    of G - V(P), on the path as given; any other runs once per outside
-    vertex with two anchors, on the path and then on its mirror."""
-
-    id: str
-    matcher: Callable[[Graph, AnchoredPath], Optional[tuple[int, ...]]]
-    min_order: int
-    component: bool = False
-
-
-# Each min_order is last + 1 for the smallest last index the matcher's
-# index constraints allow:
-#   F   consecutive positions i, i + 1: last >= 1
-#   X   attachments a < b < last: last >= 2
-#   E3  an anchor a >= 2 and an index w, w < a - 2 or a <= w < last: last >= 3
-RULE_CATALOG: tuple[RewriteRule, ...] = (
-    RewriteRule("F", _rule_f, 2, component=True),
-    RewriteRule("X", _rule_x, 3, component=True),
-    RewriteRule("E3", _rule_e3, 4),
-)
-
-RULES_BY_ID = {r.id: r for r in RULE_CATALOG}
-
-# _RULES_BY_ORDER[m]: the rules, in catalog order, that can match a path
-# of m vertices, for every order a graph allows
-_RULES_BY_ORDER = tuple(
-    tuple(r for r in RULE_CATALOG if r.min_order <= m) for m in range(MAX_VERTICES + 1)
-)
-
-
-def apply_rule(g: Graph, ap: AnchoredPath, rule: RewriteRule):
-    """Run one rule against an anchored path; validated result or None.
+def apply_rule(g: Graph, path: tuple[int, ...], rule_id: str, seq):
+    """Validate the sequence move ``rule_id`` found on ``path``: returned
+    when it is a longer path between the same ends.
 
     A matched pattern whose rewiring fails validation or does not lengthen
     the path is a transcription bug and raises RuleTranscriptionError.
     """
-    seq = rule.matcher(g, ap)
-    if seq is None:
-        return None
-    u, v = ap.path[0], ap.path[-1]
-    if not validate_path(g, seq, u, v):
-        raise RuleTranscriptionError(f"rule {rule.id} produced an invalid sequence {seq}")
-    if len(seq) <= len(ap.path):
-        raise RuleTranscriptionError(f"rule {rule.id} failed to lengthen the path")
+    if not validate_path(g, seq, path[0], path[-1]):
+        raise RuleTranscriptionError(f"rule {rule_id} produced an invalid sequence {seq}")
+    if len(seq) <= len(path):
+        raise RuleTranscriptionError(f"rule {rule_id} failed to lengthen the path")
     return seq
 
 
@@ -413,55 +336,48 @@ def _seed_path(g: Graph, u: int, v: int):
 
 
 def _find_move(g: Graph, path: tuple[int, ...]):
-    """First applicable move in catalog order.  Returns (rule_id,
-    new_path) or None.
+    """First applicable move: F on each component of G - V(P), in order
+    of its lowest vertex, then X on each; then E3 on each outside vertex
+    with at least two path neighbours, ascending, on the path and then on
+    the mirrored path.  Returns (rule_id, new_path) or None.
 
     One pass over the path gives its vertex mask, and one search the
-    components of G - V(P).  Component moves see one view per component,
-    in order of its lowest vertex, which names the view; these views
-    carry no anchors, since F and X read only the component.  Other
-    moves see each outside vertex y whose row ``hit``, masked to the
-    path, has at least two bits, ascending, and then the same vertices
-    on the mirrored path.  Those views are built when the first such
-    move is reached: the position index ``pos`` gives the anchors, the
-    positions of the bits of ``hit``, sorted; the mirrored view mirrors
-    them (anchor i becomes last - i).  Only the moves whose
-    ``min_order`` the path reaches run, as listed by
-    ``_RULES_BY_ORDER``.  Every match goes through ``apply_rule``, looked
-    up as a module global on each call, so a wrapper bound to that name
-    (the benchmark's tracer) sees every call."""
+    components.  Only a search that reaches E3 indexes the path
+    positions: the anchors of y are the positions of the bits of its
+    row masked to the path, sorted, and the mirrored path mirrors them
+    (anchor i becomes last - i).  Every move found goes through
+    ``apply_rule``.  It and the moves are looked up as module globals on
+    each call, so a wrapper bound to one of those names (the benchmark's
+    tracer) sees every call."""
     adj = g.adj
     path_mask = 0
     for w in path:
         path_mask |= 1 << w
-    comps = component_masks(adj, g.full_mask() ^ path_mask)
-    heads = [(False, AnchoredPath(path, (h & -h).bit_length() - 1, (), h)) for h in comps]
-    anchored = None  # (mirrored, view) of each outside vertex with two path neighbours
-    for rule in _RULES_BY_ORDER[len(path)]:
-        if rule.component:
-            views = heads
-        else:
-            if anchored is None:
-                last = len(path) - 1
-                pos = [0] * g.n
-                for i, w in enumerate(path):
-                    pos[w] = i
-                fwd = []
-                for y, h in sorted((y, h) for h in comps for y in bits(h)):
-                    hit = adj[y] & path_mask
-                    if hit.bit_count() >= 2:
-                        anchors = tuple(sorted([pos[w] for w in bits(hit)]))
-                        fwd.append(AnchoredPath(path, y, anchors, h))
-                back = path[::-1]
-                anchored = [(False, ap) for ap in fwd] + [
-                    (True, AnchoredPath(back, y, tuple([last - a for a in reversed(A)]), h))
-                    for _, y, A, h in fwd
-                ]
-            views = anchored
-        for mirrored, ap in views:
-            seq = apply_rule(g, ap, rule)
+    rest = g.full_mask() ^ path_mask
+    comps = component_masks(adj, rest)
+    for rule_id, move in (("F", _rule_f), ("X", _rule_x)):
+        for h in comps:
+            seq = move(adj, path, h)
             if seq is not None:
-                return rule.id, seq[::-1] if mirrored else seq
+                return rule_id, apply_rule(g, path, rule_id, seq)
+    pos = [0] * g.n
+    for i, w in enumerate(path):
+        pos[w] = i
+    anchored = []  # (y, anchors) of each outside vertex y with two path neighbours
+    for y in bits(rest):
+        hit = adj[y] & path_mask
+        if hit.bit_count() >= 2:
+            anchored.append((y, sorted([pos[w] for w in bits(hit)])))
+    for y, A in anchored:
+        seq = _rule_e3(adj, path, y, A)
+        if seq is not None:
+            return "E3", apply_rule(g, path, "E3", seq)
+    last = len(path) - 1
+    back = path[::-1]
+    for y, A in anchored:
+        seq = _rule_e3(adj, back, y, [last - a for a in reversed(A)])
+        if seq is not None:
+            return "E3", apply_rule(g, back, "E3", seq)[::-1]
     return None
 
 

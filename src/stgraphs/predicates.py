@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graphcore import Graph, bits, component_masks, mask_of
+from .graphcore import Graph, bits, canonical_label, component_masks, mask_of, petersen_graph
 
 VACUOUS = math.inf
 
@@ -476,29 +476,11 @@ def exception_witness(g: Graph, k: int) -> JoinWitness | None:
     return join_witness(g, k)
 
 
-def girth(g: Graph) -> int | float:
-    """Length of a shortest cycle, or +inf for forests."""
-    best = math.inf
-    for root in range(g.n):
-        dist = {root: 0}
-        parent = {root: -1}
-        queue = [root]
-        while queue:
-            x = queue.pop(0)
-            for w in bits(g.adj[x]):
-                if w not in dist:
-                    dist[w] = dist[x] + 1
-                    parent[w] = x
-                    queue.append(w)
-                elif parent[x] != w and parent[w] != x:
-                    best = min(best, dist[x] + dist[w] + 1)
-    return best
-
-
 def is_petersen(g: Graph) -> bool:
-    """The unique 3-regular graph of girth 5 on 10 vertices."""
+    """Whether g is isomorphic to the Petersen graph: 10 vertices,
+    3-regular, and the canonical label of ``petersen_graph()``."""
     return (
         g.n == 10
         and all(g.degree(v) == 3 for v in range(10))
-        and girth(g) == 5
+        and canonical_label(g) == canonical_label(petersen_graph())
     )

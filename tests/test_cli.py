@@ -416,6 +416,47 @@ def test_package_imports_only_the_standard_library():
     assert outside == []
 
 
+# public functions that callers outside the package use and nothing in it calls
+DOCUMENTED_ENTRY_POINTS = {"brute_force_connected", "engine_with_fallback", "revalidate_report"}
+
+
+def test_package_has_no_unreferenced_top_level_names():
+    # every top-level def, class or assignment of the package is referenced
+    # in it by a load, an attribute, an import alias or a string constant;
+    # dunder names and the documented entry points are exempt
+    pkg = Path(stgraphs.__file__).resolve().parent
+    defined, referenced = [], set()
+    for path in sorted(pkg.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for target in targets for t in ast.walk(target)
+                         if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(f"{path.name}:{node.lineno}", name) for name in names]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                referenced.add(node.value)
+    unreferenced = [
+        f"{where} {name}"
+        for where, name in defined
+        if name not in referenced
+        and not (name.startswith("__") and name.endswith("__"))
+        and name not in DOCUMENTED_ENTRY_POINTS
+    ]
+    assert unreferenced == []
+
+
 # the ten nmax-8 theorem scans; their report lines are pinned by one digest,
 # so a refactor of the judges must leave every REPORT line byte-identical
 GOLDEN_SCANS = (

@@ -16,15 +16,13 @@ from stgraphs.graphcore import (
     to_graph6,
 )
 from stgraphs.pathengine import (
-    RULE_CATALOG,
-    RULES_BY_ID,
     NoPathError,
-    RewriteRule,
     RuleTranscriptionError,
     _find_move,
+    _rule_e3,
+    _rule_f,
+    _rule_x,
     _seed_path,
-    anchor,
-    anchored_path,
     apply_rule,
     engine_with_fallback,
     improve,
@@ -42,7 +40,7 @@ def path_plus(n, chords, y_edges):
     return Graph.from_edges(n, edges)
 
 
-# -- validation and anchoring ----------------------------------------------
+# -- validation ------------------------------------------------------------
 
 
 def test_validate_path_examples():
@@ -71,35 +69,6 @@ def test_validate_path_examples():
         assert validate_path(g, seq, u, v) is True
         assert validate_path(g, tuple(seq), u, v) is True
         assert validate_path(g, iter(seq), u, v) is True
-
-
-def test_anchor_examples():
-    k4 = complete_graph(4)
-    ap = anchor(k4, (0, 1, 2))
-    assert ap is not None
-    assert ap.outside == 3 and ap.anchors == (0, 1, 2)
-    c5 = cycle_graph(5)
-    ap = anchor(c5, (0, 1, 2, 3))
-    assert ap.outside == 4 and ap.anchors == (0, 3)
-    assert anchor(k4, (0, 1, 2, 3)) is None
-    assert anchor(cycle_graph(6), (0, 1, 2, 3)) is None  # two vertices outside
-
-
-def test_anchor_completeness_random():
-    rng = random.Random(59)
-    for _ in range(80):
-        n = rng.randint(3, 9)
-        g = Graph.from_edges(
-            n, [e for e in combinations(range(n), 2) if rng.random() < 0.5]
-        )
-        verts = list(range(n))
-        rng.shuffle(verts)
-        plen = rng.randint(2, n - 1)
-        path, y = tuple(verts[:plen]), verts[plen]
-        ap = anchored_path(g, path, y)
-        for i, w in enumerate(path):
-            assert (i in ap.anchors) == g.has_edge(w, y)
-        assert ap.component == mask_of(_component_of(g, path, y))
 
 
 # -- move transcription instances -------------------------------------------
@@ -161,6 +130,9 @@ POSITIVE_CASES = [
      (0, 1, 2, 3, 4, 5), 6, (0, 6, 7, 8, 3, 2, 1, 4, 5)),
     ("H5", path_plus(8, [(0, 2), (1, 5)], [0, 3, 6]),
      (0, 1, 2, 3, 4, 5, 6), 7, (0, 2, 1, 5, 4, 3, 7, 6)),
+    # E3's routing for w <= a - 3 and w + 2 <= b <= a - 2
+    ("E3", path_plus(11, [(0, 6), (1, 6), (3, 5)], [4, 7]),
+     tuple(range(10)), 10, (0, 6, 1, 2, 3, 5, 4, 10, 7, 8, 9)),
 ]
 
 NEGATIVE_CASES = [
@@ -178,22 +150,38 @@ NEGATIVE_CASES = [
 ]
 
 
+MOVES = ("F", "X", "E3")  # the engine's moves, in the order it tries them
+
+
+def run_moves(g, path, y, move_ids, h=None):
+    """Yield (move id, sequence) for each named move in turn, the
+    sequence validated by apply_rule or None where the move does not
+    match.  F and X run on the component h, by default the one of
+    G - V(path) that holds y; E3 runs on y and its anchors."""
+    if h is None:
+        h = mask_of(_component_of(g, path, y))
+    for m in move_ids:
+        if m == "E3":
+            seq = _rule_e3(g.adj, path, y, [i for i, w in enumerate(path) if g.has_edge(w, y)])
+        else:
+            seq = (_rule_f if m == "F" else _rule_x)(g.adj, path, h)
+        yield m, None if seq is None else apply_rule(g, path, m, seq)
+
+
 def case_moves(rule_id, g, path, y):
-    """The view a case row names and the moves, in engine order, it runs."""
-    ap = anchored_path(g, path, y)
-    if rule_id == "E1":
-        ap = ap._replace(component=1 << y)
-    return ap, [RULES_BY_ID[m] for m in RETIRED_RULE_MOVES.get(rule_id, (rule_id,))]
+    """The moves, in engine order, a case row runs, as run_moves yields
+    them; the E1 rows cut the component to {y}."""
+    moves = RETIRED_RULE_MOVES.get(rule_id, (rule_id,))
+    return run_moves(g, path, y, moves, 1 << y if rule_id == "E1" else None)
 
 
-def first_move(g, ap, moves):
-    return next((out for out in (apply_rule(g, ap, m) for m in moves) if out is not None), None)
+def first_move(moves):
+    return next((out for _, out in moves if out is not None), None)
 
 
 @pytest.mark.parametrize("rule_id, g, path, y, expected", POSITIVE_CASES)
 def test_rule_positive_instance(rule_id, g, path, y, expected):
-    ap, moves = case_moves(rule_id, g, path, y)
-    out = first_move(g, ap, moves)
+    out = first_move(case_moves(rule_id, g, path, y))
     assert out == expected
     assert validate_path(g, out, path[0], path[-1])
     assert len(out) > len(path)
@@ -201,8 +189,7 @@ def test_rule_positive_instance(rule_id, g, path, y, expected):
 
 @pytest.mark.parametrize("rule_id, g, path, y", NEGATIVE_CASES)
 def test_rule_negative_instance(rule_id, g, path, y):
-    ap, moves = case_moves(rule_id, g, path, y)
-    assert all(apply_rule(g, ap, m) is None for m in moves)
+    assert all(out is None for _, out in case_moves(rule_id, g, path, y))
 
 
 @pytest.mark.parametrize(
@@ -216,28 +203,27 @@ def test_rule_negative_instance(rule_id, g, path, y):
     ],
 )
 def test_apply_rule_rejects_bad_transcriptions(monkeypatch, bad_seq, message):
-    # a matcher that returns an invalid or non-lengthening sequence is a
+    # a move that returns an invalid or non-lengthening sequence is a
     # transcription bug: apply_rule raises, and so does the engine's move
-    # search, which runs every match through apply_rule
+    # search, which runs every move found through apply_rule
     g = path_plus(5, [(0, 3)], [1, 2])
-    ap = anchored_path(g, (0, 1, 2, 3), 4)
-    bad = RewriteRule("BAD", lambda g, ap: bad_seq, 2)
+    path = (0, 1, 2, 3)
     with pytest.raises(RuleTranscriptionError, match=message):
-        apply_rule(g, ap, bad)
-    monkeypatch.setattr(pathengine, "_RULES_BY_ORDER", ((bad,),) * (len(ap.path) + 1))
+        apply_rule(g, path, "BAD", bad_seq)
+    monkeypatch.setattr(pathengine, "_rule_f", lambda adj, p, h: bad_seq)
     with pytest.raises(RuleTranscriptionError, match=message):
-        _find_move(g, ap.path)
+        _find_move(g, path)
 
 
 def test_every_cataloged_rule_has_instances():
     covered = {case[0] for case in POSITIVE_CASES} - RETIRED_RULE_MOVES.keys()
-    assert covered == {r.id for r in RULE_CATALOG}
+    assert covered == set(MOVES)
     assert {case[0] for case in NEGATIVE_CASES} - RETIRED_RULE_MOVES.keys() == covered
 
 
 def test_rule_applications_always_validate_fuzz():
     rng = random.Random(61)
-    fired = {r.id: 0 for r in RULE_CATALOG}
+    fired = dict.fromkeys(MOVES, 0)
     for _ in range(3000):
         n = rng.randint(3, 10)
         g = Graph.from_edges(
@@ -257,13 +243,11 @@ def test_rule_applications_always_validate_fuzz():
         if len(path) < 2 or len(path) == n:
             continue
         for y in (w for w in range(n) if w not in used):
-            ap = anchored_path(g, tuple(path), y)
-            if not ap.anchors:
+            if not any(g.has_edge(w, y) for w in path):
                 continue
-            for rule in RULE_CATALOG:
-                out = apply_rule(g, ap, rule)  # raises on a transcription bug
+            for m, out in run_moves(g, tuple(path), y, MOVES):  # raises on a transcription bug
                 if out is not None:
-                    fired[rule.id] += 1
+                    fired[m] += 1
     assert all(count > 0 for count in fired.values()), fired
 
 
@@ -427,33 +411,33 @@ def test_stall_certificates_are_exact():
 
 
 def test_stalled_states_satisfy_longest_path_invariants():
-    # in hypothesis graphs that are not exceptions, a stalled single-missing
-    # state must have non-consecutive anchors and independent successor and
-    # predecessor sets, else the fan insertion F or the crossing X would
-    # have fired
-    for k in (2, 3):
-        for n in range(k + 1, 7):
-            for g in enumerate_connected(n):
-                if not is_st_graph(g, k + 1, 2) or not is_k_connected(g, k):
+    # on a stall neither F nor X fires, so for every component H of
+    # G - V(P), with A its attachment positions on P: no two consecutive
+    # positions are in A (else F), and for every y in H both
+    # {y} + succ(A - {last}) and {y} + pred(A - {0}) are independent (else
+    # F, or X on the path or on its reverse); checked on every component
+    # of every stall of every connected graph with n <= 7
+    stalls = components = 0
+    for n in range(2, 8):
+        for g in enumerate_connected(n):
+            for u, v in combinations(range(n), 2):
+                res = improve(g, u, v)
+                if res.outcome != "stalled":
                     continue
-                if exception_witness(g, k) is not None:
-                    continue
-                for u in range(n):
-                    for v in range(u + 1, n):
-                        res = improve(g, u, v, k=k)
-                        if res.outcome != "stalled":
-                            continue
-                        ap = anchor(g, res.path)
-                        if ap is None:
-                            continue
-                        idx = set(ap.anchors)
-                        assert not any(i + 1 in idx for i in idx)
-                        last = len(res.path) - 1
-                        succ = [res.path[i + 1] for i in ap.anchors if i < last]
-                        pred = [res.path[i - 1] for i in ap.anchors if i > 0]
+                stalls += 1
+                p, last = res.path, len(res.path) - 1
+                outside = [y for y in range(n) if y not in p]
+                for y0 in sorted({min(_component_of(g, p, y)) for y in outside}):
+                    components += 1
+                    A = _attachments(g, p, y0)
+                    assert not any(i + 1 in A for i in A), (g.adj, p, y0)
+                    succ = [p[i + 1] for i in A if i < last]
+                    pred = [p[i - 1] for i in A if i > 0]
+                    for y in _component_of(g, p, y0):
                         for group in (succ, pred):
-                            for a, b in combinations(group, 2):
-                                assert not g.has_edge(a, b)
+                            for a, b in combinations([y, *group], 2):
+                                assert not g.has_edge(a, b), (g.adj, p, y, group)
+    assert (stalls, components) == (10498, 14607)
 
 
 # -- pinned engine behaviour --------------------------------------------------
@@ -555,8 +539,8 @@ def _walk_paths(g, rng):
 
 
 def _walk_views(seed):
-    """(g, view) for every outside vertex of every walk path, forward and
-    reversed, of every connected graph with n <= 6."""
+    """(g, path, y) for every outside vertex y of every walk path, forward
+    and reversed, of every connected graph with n <= 6."""
     rng = random.Random(seed)
     for n in range(2, 7):
         for g in enumerate_connected(n):
@@ -564,7 +548,7 @@ def _walk_views(seed):
                 for y in range(n):
                     if y not in path:
                         for base in (path, path[::-1]):
-                            yield g, anchored_path(g, base, y)
+                            yield g, base, y
 
 
 def _component_of(g, path, y):
@@ -585,20 +569,20 @@ def _attachments(g, path, y):
 
 
 def test_rules_never_match_fewer_than_two_anchors():
-    # every matcher pairs two anchors of its outside vertex, so the engine
-    # skips such views, or for a component move two attachments of its
+    # E3 pairs two anchors of its outside vertex, so the engine skips
+    # vertices with fewer, and F and X pair two attachments of their
     # component
     one_anchor_with_others = 0  # the views with a second outside vertex
-    for g, ap in _walk_views(83):
-        if ap.anchors and len(ap.anchors) < 2 and len(ap.path) <= g.n - 2:
+    for g, path, y in _walk_views(83):
+        anchors = [i for i, w in enumerate(path) if g.has_edge(w, y)]
+        if len(anchors) == 1 and len(path) <= g.n - 2:
             one_anchor_with_others += 1
-        for rule in RULE_CATALOG:
-            if rule.component:
-                if len(_attachments(g, ap.path, ap.outside)) >= 2:
-                    continue
-            elif len(ap.anchors) >= 2:
-                continue
-            assert rule.matcher(g, ap) is None, (rule.id, g.adj, ap.path, ap.outside)
+        if len(anchors) < 2:
+            assert _rule_e3(g.adj, path, y, anchors) is None, (g.adj, path, y)
+        if len(_attachments(g, path, y)) < 2:
+            h = mask_of(_component_of(g, path, y))
+            for move in (_rule_f, _rule_x):
+                assert move(g.adj, path, h) is None, (move.__name__, g.adj, path, y)
     assert one_anchor_with_others > 1000
 
 
@@ -607,77 +591,39 @@ def test_component_moves_on_walk_views():
     # ends, longer, and adds only vertices of the outside vertex's
     # component; each move and X's reversed branch occur
     fired = Counter()
-    for g, ap in _walk_views(89):
-        comp = _component_of(g, ap.path, ap.outside)
-        for rule in RULE_CATALOG:
-            if not rule.component:
-                continue
-            out = rule.matcher(g, ap)
+    for g, path, y in _walk_views(89):
+        comp = _component_of(g, path, y)
+        for m, move in (("F", _rule_f), ("X", _rule_x)):
+            out = move(g.adj, path, mask_of(comp))
             if out is None:
                 continue
-            assert validate_path(g, out, ap.path[0], ap.path[-1]), (rule.id, g.adj, ap)
-            assert len(out) > len(ap.path)
-            assert set(out) - set(ap.path) <= comp
-            fired[rule.id] += 1
+            assert validate_path(g, out, path[0], path[-1]), (m, g.adj, path, y)
+            assert len(out) > len(path)
+            assert set(out) - set(path) <= comp
+            fired[m] += 1
             # only a crossing found on the reversed path changes the
             # path before the first vertex of H
             j = next(i for i, w in enumerate(out) if w in comp)
-            if rule.id == "X" and out[:j] != ap.path[:j]:
+            if m == "X" and out[:j] != path[:j]:
                 fired["X reversed"] += 1
     assert all(fired[key] > 0 for key in ("F", "X", "X reversed")), fired
 
 
-def test_component_moves_ignore_anchors():
-    # the engine's F and X views carry no anchors and name the
-    # component's lowest vertex: on every walk view, both moves must give
-    # what they give on the anchored_path view
-    fired = Counter()
-    for g, ap in _walk_views(89):
-        h = ap.component
-        bare = ap._replace(outside=(h & -h).bit_length() - 1, anchors=())
-        for rule in RULE_CATALOG:
-            if rule.component:
-                out = rule.matcher(g, bare)
-                assert out == rule.matcher(g, ap), (rule.id, g.adj, ap)
-                fired[rule.id] += out is not None
-    assert fired["F"] > 0 and fired["X"] > 0, fired
-
-
-def test_rules_never_match_below_min_order():
-    # the engine skips a rule on paths shorter than its min_order; each
-    # minimum is also reached, so none is set higher than the matcher needs
-    shortest = {}
-    for g, ap in _walk_views(83):
-        for rule in RULE_CATALOG:
-            if rule.matcher(g, ap) is None:
-                continue
-            order = len(ap.path)
-            assert order >= rule.min_order, (rule.id, g.adj, ap.path, ap.outside)
-            shortest[rule.id] = min(shortest.get(rule.id, order), order)
-    assert shortest == {rule.id: rule.min_order for rule in RULE_CATALOG}
-
-
 def _reference_find_move(g, path):
-    """_find_move with every view built up front, then F, X and E3 run in
-    turn: F and X on one view per component of G - V(path), named by its
-    lowest vertex; E3 on the view of every outside vertex with two
-    anchors, then on the reversed path's views."""
+    """_find_move with every candidate listed up front, then F, X and E3
+    run in turn: F and X on each component of G - V(path), by its lowest
+    vertex; E3 on every outside vertex with two anchors, its anchors read
+    off the path by has_edge, then on the reversed path."""
     rest = [y for y in range(g.n) if y not in path]
     heads = sorted({min(_component_of(g, path, y)) for y in rest})
-    heads = [anchored_path(g, path, y) for y in heads]
-    forward, backward = [], []
-    for y in rest:
-        ap = anchored_path(g, path, y)
-        if len(ap.anchors) < 2:
-            continue
-        forward.append((False, ap))
-        backward.append((True, anchored_path(g, path[::-1], y)))
-    for rule in RULE_CATALOG:
-        views = [(False, ap) for ap in heads] if rule.component else forward + backward
-        for reversed_base, ap in views:
-            seq = apply_rule(g, ap, rule)
-            if seq is not None:
-                return rule.id, seq[::-1] if reversed_base else seq
+    twice = [y for y in rest if sum(g.has_edge(w, y) for w in path) >= 2]
+    tries = [(m, False, path, y) for m in ("F", "X") for y in heads]
+    tries += [("E3", mirrored, base, y)
+              for mirrored, base in ((False, path), (True, path[::-1])) for y in twice]
+    for m, mirrored, base, y in tries:
+        ((_, seq),) = run_moves(g, base, y, (m,))
+        if seq is not None:
+            return m, seq[::-1] if mirrored else seq
     return None
 
 

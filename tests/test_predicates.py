@@ -1,4 +1,3 @@
-import math
 import random
 from itertools import combinations, permutations
 
@@ -26,7 +25,6 @@ from stgraphs.predicates import (
     _local_connectivity,
     _split_network,
     exception_witness,
-    girth,
     hamilton_uv_path,
     independence_number,
     is_hamiltonian,
@@ -502,10 +500,18 @@ def test_join_witness_refutes_only_pairs_without_hamilton_path():
 
 def test_is_petersen():
     assert is_petersen(petersen_graph())
+    assert is_petersen(relabeled(random.Random(5), petersen_graph()))
     assert not is_petersen(cycle_graph(10))
     assert not is_petersen(complete_graph(5))
-    assert girth(petersen_graph()) == 5
-    assert girth(path_graph(4)) == math.inf
+    # cubic on 10 vertices with girth 4: the pentagonal prism and the
+    # Moebius ladder get past the order and degree tests
+    spokes = [(i, i + 5) for i in range(5)]
+    rim = [(i, (i + 1) % 5) for i in range(5)]
+    prism = Graph.from_edges(10, rim + [(a + 5, b + 5) for a, b in rim] + spokes)
+    ladder = Graph.from_edges(10, [(i, (i + 1) % 10) for i in range(10)] + spokes)
+    for g in (prism, ladder):
+        assert all(g.degree(v) == 3 for v in range(10))
+        assert not is_petersen(g)
 
 
 # -- module invariants over the enumerated universe -------------------------------
