@@ -6,8 +6,10 @@ Discrete Math. 2, 1972) on a component H of G - V(P): fan insertion F
 puts a shortest H-path between consecutive path vertices that both have
 neighbours in H, and the crossing X reroutes the path through H when
 the successors (or, on the reversed path, the predecessors) of two
-attachments of H are adjacent.  The third, E3, detours around an
-outside vertex's anchor through a chord of the anchor's predecessor.
+attachments of H are adjacent.  The third, E3, relocates and closes:
+it moves the predecessor x of an anchor of an outside vertex y between
+two consecutive path neighbours of x, and y closes the gap that x
+leaves, directly or by reversing the stretch up to another anchor.
 Every move lengthens the path, so the engine makes at most n moves.
 The moves are not claimed complete, so the engine either returns a
 Hamilton path or stalls, and leaves totality to the exact backtracking
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .graphcore import Graph, bits, component_masks
-from .predicates import JoinWitness, hamilton_uv_path, join_witness, sparsest_induced_set
+from .predicates import JoinWitness, exception_witness, hamilton_uv_path, sparsest_induced_set
 
 
 class RuleTranscriptionError(RuntimeError):
@@ -135,91 +137,45 @@ def _rule_x(adj, path: tuple[int, ...], h: int):
     return None
 
 
+def _relocate(p: tuple[int, ...], i: int, w: int) -> tuple[int, ...]:
+    """p with the vertex at position i moved between p_w and p_{w+1}
+    (w not in {i - 1, i})."""
+    if w < i:
+        return p[: w + 1] + (p[i],) + p[w + 1 : i] + p[i + 1 :]
+    return p[:i] + p[i + 1 : w + 1] + (p[i],) + p[w + 1 :]
+
+
 def _rule_e3(adj, p: tuple[int, ...], y: int, A):
-    """Chord-detour extensions around an anchor a of y (A lists the path
-    positions adjacent to y, ascending) whose predecessor has two
-    consecutive path neighbors w, w+1; eight routing variants."""
-    last = len(p) - 1
-    aset = set(A)
+    """Relocate and close: for an anchor a of y (A lists the path
+    positions adjacent to y, ascending), move x = p_{a-1} between two
+    consecutive path neighbours p_w, p_{w+1} of x.  That leaves a gap
+    between p_{a-2} and p_a, which y closes directly when y ~ p_{a-2},
+    else by reversing the stretch between the gap and another anchor b
+    with p_{a-2} ~ p_{b-1}, on whichever side of the gap p_b lies.
+    Tried by a, then b, then w."""
     for a in A:
         if a < 2:
             continue
-        pa1 = p[a - 1]
-        row = adj[pa1]
-        ws = [
-            w
-            for w in list(range(0, a - 2)) + list(range(a, last))
-            if (row >> p[w]) & 1 and (row >> p[w + 1]) & 1
-        ]
-        if not ws:
-            continue
-        if a - 2 in aset:
-            for w in ws:
-                if w >= a:
-                    return p[: a - 1] + (y,) + p[a : w + 1] + (pa1,) + p[w + 1 :]
-                if w <= a - 3:
-                    return p[: w + 1] + (pa1,) + p[w + 1 : a - 1] + (y,) + p[a:]
-        ra2 = adj[p[a - 2]]
+        row = adj[p[a - 1]]
+        ws = [w for w in range(len(p) - 1) if (row >> p[w]) & 1 and (row >> p[w + 1]) & 1]
+        if ws and a - 2 in A:
+            # q is the path after the move: q_gap = p_{a-2}, q_{gap+1} = p_a
+            gap = a - 1 if ws[0] < a else a - 2
+            q = _relocate(p, a - 1, ws[0])
+            return q[: gap + 1] + (y,) + q[gap + 1 :]
+        row = adj[p[a - 2]]
         for b in A:
-            if b == a or b < 1 or not (ra2 >> p[b - 1]) & 1:
+            if b == a or b < 1 or not (row >> p[b - 1]) & 1:
                 continue
             for w in ws:
-                if w >= a:
-                    if b <= a - 2:
-                        return (
-                            p[:b]
-                            + p[b : a - 1][::-1]
-                            + (y,)
-                            + p[a : w + 1]
-                            + (pa1,)
-                            + p[w + 1 :]
-                        )
-                    if a + 1 <= b <= w:
-                        return (
-                            p[: a - 1]
-                            + p[a:b][::-1]
-                            + (y,)
-                            + p[b : w + 1]
-                            + (pa1,)
-                            + p[w + 1 :]
-                        )
-                    if b >= w + 2:
-                        return (
-                            p[: a - 1]
-                            + p[w + 1 : b][::-1]
-                            + (pa1,)
-                            + p[a : w + 1][::-1]
-                            + (y,)
-                            + p[b:]
-                        )
-                else:
-                    if b <= w:
-                        return (
-                            p[:b]
-                            + p[w + 1 : a - 1][::-1]
-                            + (pa1,)
-                            + p[b : w + 1][::-1]
-                            + (y,)
-                            + p[a:]
-                        )
-                    if w + 2 <= b <= a - 2:
-                        return (
-                            p[: w + 1]
-                            + (pa1,)
-                            + p[w + 1 : b]
-                            + p[b : a - 1][::-1]
-                            + (y,)
-                            + p[a:]
-                        )
-                    if b >= a + 1:
-                        return (
-                            p[: w + 1]
-                            + (pa1,)
-                            + p[w + 1 : a - 1]
-                            + p[a:b][::-1]
-                            + (y,)
-                            + p[b:]
-                        )
+                if w == b - 1:
+                    continue  # x would land between p_{b-1} and p_b
+                gap = a - 1 if w < a else a - 2
+                c = b + (b > w) - (b > a)  # q_c = p_b
+                q = _relocate(p, a - 1, w)
+                if c > gap:
+                    return q[: gap + 1] + q[gap + 1 : c][::-1] + (y,) + q[c:]
+                return q[:c] + q[c : gap + 1][::-1] + (y,) + q[gap + 1 :]
     return None
 
 
@@ -382,11 +338,9 @@ def _find_move(g: Graph, path: tuple[int, ...]):
 
 
 def _extract_certificate(g: Graph, path: tuple[int, ...], k: int | None):
-    n = g.n
-    if n % 2 == 0 and k in (None, n // 2):
-        w = join_witness(g, n // 2)
-        if w is not None and w.refutes(g, path[0], path[-1]):
-            return Certificate("join-witness", witness=w)
+    w = exception_witness(g, k or g.n // 2)
+    if w is not None and w.refutes(g, path[0], path[-1]):
+        return Certificate("join-witness", witness=w)
     if k is not None:
         # a (k+1)-set with at most one edge: G is not a [k+1,2]-graph
         edges, sparse = sparsest_induced_set(g, k + 1, stop_below=2)

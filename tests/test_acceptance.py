@@ -5,7 +5,6 @@ the full stated ranges; the summary table is printed after the run.
 """
 
 import time
-from itertools import combinations
 
 from stgraphs.cli import main as cli_main
 from stgraphs.graphcore import (

@@ -423,11 +423,25 @@ DOCUMENTED_ENTRY_POINTS = {"brute_force_connected", "engine_with_fallback", "rev
 def test_package_has_no_unreferenced_top_level_names():
     # every top-level def, class or assignment of the package is referenced
     # in it by a load, an attribute, an import alias or a string constant;
-    # dunder names and the documented entry points are exempt
+    # dunder names and the documented entry points are exempt.  An import
+    # alias counts only if its own module loads the name it binds, so an
+    # unused import cannot keep a dead helper alive; __future__ imports and
+    # the re-exports listed in __all__ of __init__ are exempt
     pkg = Path(stgraphs.__file__).resolve().parent
-    defined, referenced = [], set()
+    defined, referenced, unloaded = [], set(), []
     for path in sorted(pkg.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        exempt = set(stgraphs.__all__) if path.name == "__init__.py" else set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.partition(".")[0]
+                    if bound not in loaded | exempt:
+                        unloaded.append(f"{path.name}:{node.lineno} {bound}")
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 names = [node.name]
@@ -455,6 +469,7 @@ def test_package_has_no_unreferenced_top_level_names():
         and name not in DOCUMENTED_ENTRY_POINTS
     ]
     assert unreferenced == []
+    assert unloaded == []
 
 
 # the ten nmax-8 theorem scans; their report lines are pinned by one digest,

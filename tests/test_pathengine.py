@@ -130,7 +130,8 @@ POSITIVE_CASES = [
      (0, 1, 2, 3, 4, 5), 6, (0, 6, 7, 8, 3, 2, 1, 4, 5)),
     ("H5", path_plus(8, [(0, 2), (1, 5)], [0, 3, 6]),
      (0, 1, 2, 3, 4, 5, 6), 7, (0, 2, 1, 5, 4, 3, 7, 6)),
-    # E3's routing for w <= a - 3 and w + 2 <= b <= a - 2
+    # E3 moves x = p_6 between p_0 and p_1; y closes the gap between p_5
+    # and p_7 by reversing the stretch p_4 p_5 back to its anchor 4
     ("E3", path_plus(11, [(0, 6), (1, 6), (3, 5)], [4, 7]),
      tuple(range(10)), 10, (0, 6, 1, 2, 3, 5, 4, 10, 7, 8, 9)),
 ]
@@ -538,11 +539,11 @@ def _walk_paths(g, rng):
             yield tuple(path)
 
 
-def _walk_views(seed):
+def _walk_views(seed, nmax=6):
     """(g, path, y) for every outside vertex y of every walk path, forward
-    and reversed, of every connected graph with n <= 6."""
+    and reversed, of every connected graph with n <= nmax."""
     rng = random.Random(seed)
-    for n in range(2, 7):
+    for n in range(2, nmax + 1):
         for g in enumerate_connected(n):
             for path in _walk_paths(g, rng):
                 for y in range(n):
@@ -607,6 +608,59 @@ def test_component_moves_on_walk_views():
             if m == "X" and out[:j] != path[:j]:
                 fired["X reversed"] += 1
     assert all(fired[key] > 0 for key in ("F", "X", "X reversed")), fired
+
+
+def _reference_e3(g, p, y):
+    """E3 stated as the edges it swaps, with x = p_{a-1}.  A candidate
+    drops p_{a-2}x, xp_a and p_w p_{w+1} from the path and adds xp_w,
+    xp_{w+1} and yp_a; the direct close (b None) also adds yp_{a-2}, and
+    a rotation toward another anchor b drops p_{b-1}p_b and adds yp_b and
+    p_{a-2}p_{b-1}.  Candidates run by anchor a >= 2, then the direct
+    close and each b >= 1, then w.  Returns the walk from p_0 of the first
+    one whose added edges are edges of g, whose inner vertices all have
+    degree two and whose walk is a longer (p_0, p_last)-path, with its
+    closing form (direct, or the side of the gap p_b lies on); else None."""
+    A = [i for i, w in enumerate(p) if g.has_edge(w, y)]
+    path_edges = {frozenset(e) for e in zip(p, p[1:])}
+    for a in A:
+        if a < 2:
+            continue
+        x = p[a - 1]
+        for b in [None] + [b for b in A if b != a and b >= 1]:
+            for w in range(len(p) - 1):
+                drop = [(p[a - 2], x), (x, p[a]), (p[w], p[w + 1])]
+                add = [(x, p[w]), (x, p[w + 1]), (y, p[a])]
+                if b is None:
+                    add.append((y, p[a - 2]))
+                else:
+                    drop.append((p[b - 1], p[b]))
+                    add += [(y, p[b]), (p[a - 2], p[b - 1])]
+                if not all(g.has_edge(*e) for e in add):
+                    continue
+                edges = path_edges - {frozenset(e) for e in drop} | {frozenset(e) for e in add}
+                degree = Counter(v for e in edges for v in e)
+                if any(degree[v] != 2 for v in degree if v not in (p[0], p[-1])):
+                    continue
+                seq, left = [p[0]], set(edges)
+                while (e := next((e for e in left if seq[-1] in e), None)) is not None:
+                    left.remove(e)
+                    seq += e - {seq[-1]}
+                if len(seq) > len(p) and validate_path(g, seq, p[0], p[-1]):
+                    form = "direct" if b is None else "before gap" if b < a else "after gap"
+                    return tuple(seq), form
+    return None
+
+
+def test_e3_matches_edge_exchange_reference():
+    # _rule_e3 against the move stated as the edges it swaps, on every
+    # walk view with n <= 7, forward and mirrored; every closing form occurs
+    forms = Counter()
+    for g, path, y in _walk_views(71, nmax=7):
+        want = _reference_e3(g, path, y)
+        anchors = [i for i, w in enumerate(path) if g.has_edge(w, y)]
+        assert _rule_e3(g.adj, path, y, anchors) == (want and want[0]), (g.adj, path, y)
+        forms[want and want[1]] += 1
+    assert all(forms[f] > 0 for f in ("direct", "before gap", "after gap")), forms
 
 
 def _reference_find_move(g, path):
