@@ -355,12 +355,12 @@ def _refine_split(adj, cells, splitters):
     return cells
 
 
-def _degree_cells(adj, degs):
+def _degree_cells(adj) -> list[int]:
     """Masks of the cells of equal degree, in ascending degree order."""
-    by_deg: dict[int, int] = {}
-    for v, d in enumerate(degs):
-        by_deg[d] = by_deg.get(d, 0) | 1 << v
-    return [by_deg[d] for d in sorted(by_deg)]
+    by_deg = [0] * len(adj)  # by_deg[d]: mask of the vertices of degree d
+    for v, row in enumerate(adj):
+        by_deg[row.bit_count()] |= 1 << v
+    return [m for m in by_deg if m]
 
 
 def _uniform_modules(adj, cells) -> bool:
@@ -417,7 +417,7 @@ def _canonical_search(n: int, adj, start=None, gens=None):
     if n == 0:
         return 0, ()
     if start is None:
-        cells0 = _degree_cells(adj, [row.bit_count() for row in adj])
+        cells0 = _degree_cells(adj)
         start = cells0, cells0[:-1]
     width = n * (n - 1) // 2
     best_code = None

@@ -28,9 +28,13 @@ its path neighbours, ascending), tried on each outside vertex with at
 least two anchors, forward and then on the mirrored path.  Only a
 search that reaches E3 indexes the path positions.  Every move found is
 validated by ``apply_rule``.  The seed path is a greedy walk from u or,
-when that does not close into v, from v; the degree levels it follows
-are computed once per graph.  Moves and path checks test bits of the
-adjacency rows ``g.adj`` directly.
+when that does not close into v, from v, that steps to the unused
+neighbour of lowest degree in G (the exact search in ``predicates``
+ranks its candidates by degree too): low-degree vertices are taken
+while they can still be reached, and the high-degree ones left over
+still close the walk or are inserted by the moves.  The degree levels
+the walk follows are computed once per graph.  Moves and path checks
+test bits of the adjacency rows ``g.adj`` directly.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .graphcore import Graph, bits, component_masks
+from .graphcore import Graph, _degree_cells, bits, component_masks
 from .predicates import JoinWitness, exception_witness, hamilton_uv_path, sparsest_induced_set
 
 
@@ -230,22 +234,19 @@ class EngineResult(NamedTuple):
 _last_levels: tuple = ((), ())
 
 
-def _degree_levels(adj: tuple[int, ...]) -> tuple[int, ...]:
-    """Masks of the vertices of each degree that occurs, highest first."""
+def _degree_levels(adj: tuple[int, ...]) -> list[int]:
+    """Masks of the vertices of each degree that occurs, lowest first."""
     global _last_levels
     key, levels = _last_levels
     if adj == key:
         return levels
-    by_degree = [0] * len(adj)  # by_degree[d]: mask of the vertices of degree d
-    for w, row in enumerate(adj):
-        by_degree[row.bit_count()] |= 1 << w
-    levels = tuple([m for m in reversed(by_degree) if m])
+    levels = _degree_cells(adj)
     _last_levels = (adj, levels)
     return levels
 
 
 def _seed_path(g: Graph, u: int, v: int):
-    """Greedy highest-degree walk from u (lowest id on ties) through the
+    """Greedy lowest-degree walk from u (lowest id on ties) through the
     vertices other than v, closing into v.  When that walk ends away
     from v, the same walk from v toward u, reversed, if it closes into
     u.  Else the edge uv or a breadth-first (u,v)-path.  None when v is

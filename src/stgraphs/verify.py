@@ -22,7 +22,6 @@ from .graphcore import (
     Graph,
     Graph6Error,
     _canonical_search,
-    _degree_cells,
     _graph6_of_code,
     _orbit_closure,
     _refine_split,
@@ -107,11 +106,13 @@ def _canonical_augmentation(parent: Graph, cuts, smask: int):
     dropped.  The marked-label comparison then runs only for the rivals
     left, which an incomplete generator set merely leaves more of.
 
-    The code is that of a search from the degree partition, or from the
-    refined partition with no splitters once the child was refined: the
-    partition the search's root refines to either way.  So each accepted
-    child is searched exactly once, and a child rejected at the
-    marked-label comparison once.
+    The child's degree partition comes from cuts too: child degree j
+    holds the parent vertices of degree j outside smask and of degree
+    j - 1 in it, and z joins cell d.  The code is that of a search from
+    that partition, or from the refined partition with no splitters once
+    the child was refined: the partition the search's root refines to
+    either way.  So each accepted child is searched exactly once, and a
+    child rejected at the marked-label comparison once.
     """
     eq, le, cut, comps = cuts
     m = parent.n
@@ -133,9 +134,15 @@ def _canonical_augmentation(parent: Graph, cuts, smask: int):
     rows = [row | zbit if (smask >> v) & 1 else row for v, row in enumerate(parent.adj)]
     rows.append(smask)
     child = Graph._from_rows(m + 1, rows)
+    cells = []  # the child's degree cells, ascending (see above)
+    for j in range(1, m + 1):
+        c = (eq[j] & ~smask) | (eq[j - 1] & smask)
+        if j == d:
+            c |= zbit
+        if c:
+            cells.append(c)
     if not rivals:
-        return child, _canonical_search(m + 1, rows)[0]
-    cells = _degree_cells(rows, [row.bit_count() for row in rows])
+        return child, _canonical_search(m + 1, rows, (cells, cells[:-1]))[0]
     cells = _refine_split(rows, cells, cells[:-1])
     before = 0
     for cz in cells:

@@ -176,9 +176,9 @@ def test_find_path_success(capsys):
 
 def test_find_path_trace_records_moves(capsys):
     # crossing instance: the engine needs one move, X
-    code, out = run_cli(capsys, "find-path", "FjKK_", "--u", "0", "--v", "5", "--trace")
+    code, out = run_cli(capsys, "find-path", "E@v_", "--u", "0", "--v", "2", "--trace")
     assert code == 0
-    assert "move: X len 6->7" in out
+    assert "move: X len 5->6" in out
     assert "hamilton-path:" in out
 
 
@@ -231,10 +231,10 @@ def test_find_path_rejects_k_below_one(k):
 # full stdout of find-path, pinned: a speed-up must leave it byte-identical
 FIND_PATH_TRANSCRIPTS = [
     (
-        ("find-path", "FjKK_", "--u", "0", "--v", "5", "--trace"),
+        ("find-path", "E@v_", "--u", "0", "--v", "2", "--trace"),
         0,
-        "move: X len 6->7\n"
-        "hamilton-path: 0 6 3 1 2 4 5\n",
+        "move: X len 5->6\n"
+        "hamilton-path: 0 5 1 4 3 2\n",
     ),
     (
         ("find-path", "Cl", "--u", "0", "--v", "2", "--k", "2"),
@@ -245,17 +245,17 @@ FIND_PATH_TRANSCRIPTS = [
     ),
     (
         # a 3-connected [4,2]-graph whose seed path is already a
-        # Hamilton path: the walk from 1 gets stuck, the walk from 2 does not
-        ("find-path", "HzboPtU", "--u", "1", "--v", "2", "--k", "3", "--trace"),
+        # Hamilton path: the walk from 0 gets stuck, the walk from 5 does not
+        ("find-path", "ELv_", "--u", "0", "--v", "5", "--k", "3", "--trace"),
         0,
-        "hamilton-path: 1 8 6 7 4 0 5 3 2\n",
+        "hamilton-path: 0 4 3 2 1 5\n",
     ),
     (
         # the graph is a join exception, but this pair has a Hamilton path,
         # which the engine finds
         ("find-path", "G?~vnk", "--u", "0", "--v", "1", "--k", "4"),
         0,
-        "hamilton-path: 0 7 3 6 5 2 4 1\n",
+        "hamilton-path: 0 4 2 5 3 6 7 1\n",
     ),
     (
         # C6 is no [3,2]-graph: the exact search names a sparse 3-set
@@ -274,19 +274,22 @@ FIND_PATH_TRANSCRIPTS = [
         "fallback: no hamilton path exists\n",
     ),
     (
-        # a 3-connected [4,2]-graph whose pair stalls without move E3
-        ("find-path", "GBYluk", "--u", "3", "--v", "7", "--k", "3", "--trace"),
+        # a pair that stalls without move E3.  From the lowest-degree seed
+        # E3 fires on no pair of the generator's k-connected [k+1,2]-graphs
+        # with n <= 9 (k = 2, 3, 4), so this graph is outside the
+        # hypothesis and the run has no --k
+        ("find-path", "G@PKlO", "--u", "1", "--v", "2", "--trace"),
         0,
         "move: E3 len 7->8\n"
-        "hamilton-path: 3 2 6 0 5 4 1 7\n",
+        "hamilton-path: 1 5 4 7 0 6 3 2\n",
     ),
     (
         # a 3-connected [4,2]-graph; the fan insertion puts a two-vertex
         # H-path into the path
-        ("find-path", "ELvw", "--u", "3", "--v", "5", "--k", "3", "--trace"),
+        ("find-path", "FFYmW", "--u", "3", "--v", "4", "--k", "3", "--trace"),
         0,
-        "move: F len 4->6\n"
-        "hamilton-path: 3 2 1 4 0 5\n",
+        "move: F len 5->7\n"
+        "hamilton-path: 3 1 6 0 5 2 4\n",
     ),
 ]
 

@@ -352,7 +352,7 @@ def test_splitter_refinement_matches_all_cells_rounds():
             masks = [graphcore.mask_of(c) for c in cells]
             got = graphcore._refine_split(adj, masks, masks)
             assert got == [graphcore.mask_of(c) for c in reference_refine(adj, cells)]
-        masks = graphcore._degree_cells(adj, [row.bit_count() for row in adj])
+        masks = graphcore._degree_cells(adj)
         cells = [list(bits(m)) for m in masks]
         want = reference_refine(adj, cells)
         got = graphcore._refine_split(adj, masks, masks[:-1])
@@ -419,7 +419,7 @@ def test_search_from_refined_degree_partition_matches_default_start():
     for n in range(1, 8):
         for g in enumerate_connected(n):
             r = relabeled(g, rng)
-            masks = graphcore._degree_cells(r.adj, [row.bit_count() for row in r.adj])
+            masks = graphcore._degree_cells(r.adj)
             start = graphcore._refine_split(r.adj, masks, masks[:-1]), []
             want = graphcore._canonical_search(r.n, r.adj)
             assert graphcore._canonical_search(r.n, r.adj, start) == want
