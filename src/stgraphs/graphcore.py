@@ -414,8 +414,6 @@ def _canonical_search(n: int, adj, start=None, gens=None):
     partition.  When gens is a list, the within-cell transpositions of
     every uniform-module leaf and then the recorded automorphisms are
     appended to it."""
-    if n == 0:
-        return 0, ()
     if start is None:
         cells0 = _degree_cells(adj)
         start = cells0, cells0[:-1]

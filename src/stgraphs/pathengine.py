@@ -25,9 +25,9 @@ functions that ``_find_move`` calls in turn: F and X take the path and
 one component's vertex mask, tried on each component by lowest vertex;
 E3 takes the path, an outside vertex and its anchors (the positions of
 its path neighbours, ascending), tried on each outside vertex with at
-least two anchors, forward and then on the mirrored path.  Only a
-search that reaches E3 indexes the path positions.  Every move found is
-validated by ``apply_rule``.  The seed path is a greedy walk from u or,
+least two anchors, forward and then on the mirrored path, whose anchors
+are read off the mirrored path itself.  Every move found is validated
+by ``apply_rule``.  The seed path is a greedy walk from u or,
 when that does not close into v, from v, that steps to the unused
 neighbour of lowest degree in G (the exact search in ``predicates``
 ranks its candidates by degree too): low-degree vertices are taken
@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 from .graphcore import Graph, _degree_cells, bits, component_masks
@@ -88,8 +89,6 @@ def _h_path(adj, h: int, src: int, dst: int) -> tuple[int, ...]:
     """A shortest path inside the connected vertex set h from a vertex of
     src to a vertex of dst (nonempty subsets of h), by breadth-first
     search; ties go to the lower vertex id."""
-    if src & dst:
-        return ((src & dst & -(src & dst)).bit_length() - 1,)
     parent = {}
     seen = frontier = src
     while not frontier & dst:
@@ -229,28 +228,18 @@ class EngineResult(NamedTuple):
     trace: tuple[MoveRecord, ...] = ()
 
 
-# (adjacency rows, degree levels) of the last graph _seed_path saw: the
-# engine runs every pair of a graph in turn, so one entry serves them all
-_last_levels: tuple = ((), ())
-
-
-def _degree_levels(adj: tuple[int, ...]) -> list[int]:
-    """Masks of the vertices of each degree that occurs, lowest first."""
-    global _last_levels
-    key, levels = _last_levels
-    if adj == key:
-        return levels
-    levels = _degree_cells(adj)
-    _last_levels = (adj, levels)
-    return levels
+# masks of the vertices of each degree that occurs, lowest first, keyed
+# by the adjacency rows: the engine runs every pair of a graph in turn,
+# so one entry serves them all
+_degree_levels = lru_cache(maxsize=1)(_degree_cells)
 
 
 def _seed_path(g: Graph, u: int, v: int):
     """Greedy lowest-degree walk from u (lowest id on ties) through the
     vertices other than v, closing into v.  When that walk ends away
     from v, the same walk from v toward u, reversed, if it closes into
-    u.  Else the edge uv or a breadth-first (u,v)-path.  None when v is
-    unreachable."""
+    u.  Else a breadth-first (u,v)-path, which is the edge uv when there
+    is one.  None when v is unreachable."""
     adj = g.adj
     levels = _degree_levels(adj)
     free = g.full_mask() & ~(1 << u) & ~(1 << v)
@@ -271,8 +260,6 @@ def _seed_path(g: Graph, u: int, v: int):
         if (adj[cur] >> end) & 1:
             seq.append(end)
             return tuple(seq) if start == u else tuple(reversed(seq))
-    if (adj[u] >> v) & 1:
-        return (u, v)  # the breadth-first search's first expansion reaches v
     parent = {u: None}
     seen = 1 << u
     queue = deque([u])
@@ -299,10 +286,9 @@ def _find_move(g: Graph, path: tuple[int, ...]):
     the mirrored path.  Returns (rule_id, new_path) or None.
 
     One pass over the path gives its vertex mask, and one search the
-    components.  Only a search that reaches E3 indexes the path
-    positions: the anchors of y are the positions of the bits of its
-    row masked to the path, sorted, and the mirrored path mirrors them
-    (anchor i becomes last - i).  Every move found goes through
+    components.  The anchors of y on the path or on the mirrored path
+    are the positions of that sequence adjacent to y, and a move found
+    on the mirrored path is reversed back.  Every move found goes through
     ``apply_rule``.  It and the moves are looked up as module globals on
     each call, so a wrapper bound to one of those names (the benchmark's
     tracer) sees every call."""
@@ -317,24 +303,13 @@ def _find_move(g: Graph, path: tuple[int, ...]):
             seq = move(adj, path, h)
             if seq is not None:
                 return rule_id, apply_rule(g, path, rule_id, seq)
-    pos = [0] * g.n
-    for i, w in enumerate(path):
-        pos[w] = i
-    anchored = []  # (y, anchors) of each outside vertex y with two path neighbours
-    for y in bits(rest):
-        hit = adj[y] & path_mask
-        if hit.bit_count() >= 2:
-            anchored.append((y, sorted([pos[w] for w in bits(hit)])))
-    for y, A in anchored:
-        seq = _rule_e3(adj, path, y, A)
-        if seq is not None:
-            return "E3", apply_rule(g, path, "E3", seq)
-    last = len(path) - 1
-    back = path[::-1]
-    for y, A in anchored:
-        seq = _rule_e3(adj, back, y, [last - a for a in reversed(A)])
-        if seq is not None:
-            return "E3", apply_rule(g, back, "E3", seq)[::-1]
+    anchored = [y for y in bits(rest) if (adj[y] & path_mask).bit_count() >= 2]
+    for reverse, p in ((False, path), (True, path[::-1])):
+        for y in anchored:
+            seq = _rule_e3(adj, p, y, [i for i, w in enumerate(p) if (adj[y] >> w) & 1])
+            if seq is not None:
+                seq = apply_rule(g, p, "E3", seq)
+                return "E3", seq[::-1] if reverse else seq
     return None
 
 

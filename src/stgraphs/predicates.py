@@ -304,7 +304,7 @@ def _reach_and_degree_ok(adj, full, cur, used, vbit) -> bool:
 
 
 def _hamilton_path(adj, n: int, u: int, v: int) -> tuple[int, ...] | None:
-    """Hamilton (u,v)-path search on raw bit rows of n >= 3 vertices."""
+    """Hamilton (u,v)-path search on raw bit rows of n >= 2 vertices."""
     full = (1 << n) - 1
     vbit = 1 << v
     path = [u]
@@ -338,8 +338,6 @@ def hamilton_uv_path(g: Graph, u: int, v: int) -> tuple[int, ...] | None:
         raise ValueError("endpoints out of range")
     if u == v:
         raise ValueError("endpoints must differ")
-    if n == 2:
-        return (u, v) if g.has_edge(u, v) else None
     return _hamilton_path(g.adj, n, u, v)
 
 
@@ -375,8 +373,6 @@ def is_hamiltonian_connected(g: Graph) -> bool:
     holds a real witness path and at most C(n,2) paths are rotated.
     """
     n = g.n
-    if n <= 1:
-        return True
     adj = g.adj
     deg = [g.degree(v) for v in range(n)]
     pairs = sorted(

@@ -73,9 +73,9 @@ def _parent_cuts(parent: Graph):
 
 
 def _canonical_augmentation(parent: Graph, cuts, smask: int):
-    """The child of parent with a new vertex z = parent.n joined to the
-    vertices of smask, with its canonical code (see _canonical_search),
-    if canonical augmentation accepts it, else None.
+    """The canonical code (see _canonical_search) of the child of parent
+    with a new vertex z = parent.n joined to the vertices of smask, if
+    canonical augmentation accepts it, else None.
 
     The child is accepted iff z is a canonical choice among deletable
     vertices.  Deletable means non-cut; z always is, because the parent
@@ -100,19 +100,20 @@ def _canonical_augmentation(parent: Graph, cuts, smask: int):
     their components.
 
     Orbit step.  A rival in a cell before z's rejects the child.  When
-    rivals are left in z's cell, the child's one canonical search runs
-    from the refined partition and records automorphisms of the child:
-    a rival in the orbit of z under them has z's marked label and is
-    dropped.  The marked-label comparison then runs only for the rivals
-    left, which an incomplete generator set merely leaves more of.
+    rivals are left in z's cell, the child's one canonical search
+    records automorphisms of the child: a rival in the orbit of z under
+    them has z's marked label and is dropped.  The marked-label
+    comparison then runs only for the rivals left, which an incomplete
+    generator set merely leaves more of; only it builds the child Graph.
 
     The child's degree partition comes from cuts too: child degree j
     holds the parent vertices of degree j outside smask and of degree
-    j - 1 in it, and z joins cell d.  The code is that of a search from
-    that partition, or from the refined partition with no splitters once
-    the child was refined: the partition the search's root refines to
-    either way.  So each accepted child is searched exactly once, and a
-    child rejected at the marked-label comparison once.
+    j - 1 in it, and z joins cell d.  The child is always refined from
+    that partition, and its code is that of a search from the refined
+    partition with no splitters: the partition a search from the degree
+    partition refines to at its root.  So each accepted child is
+    searched exactly once, and a child rejected at the marked-label
+    comparison once.
     """
     eq, le, cut, comps = cuts
     m = parent.n
@@ -133,7 +134,6 @@ def _canonical_augmentation(parent: Graph, cuts, smask: int):
     zbit = 1 << m
     rows = [row | zbit if (smask >> v) & 1 else row for v, row in enumerate(parent.adj)]
     rows.append(smask)
-    child = Graph._from_rows(m + 1, rows)
     cells = []  # the child's degree cells, ascending (see above)
     for j in range(1, m + 1):
         c = (eq[j] & ~smask) | (eq[j - 1] & smask)
@@ -141,8 +141,6 @@ def _canonical_augmentation(parent: Graph, cuts, smask: int):
             c |= zbit
         if c:
             cells.append(c)
-    if not rivals:
-        return child, _canonical_search(m + 1, rows, (cells, cells[:-1]))[0]
     cells = _refine_split(rows, cells, cells[:-1])
     before = 0
     for cz in cells:
@@ -153,15 +151,16 @@ def _canonical_augmentation(parent: Graph, cuts, smask: int):
         return None
     rivals &= cz
     if not rivals:
-        return child, _canonical_search(m + 1, rows, (cells, []))[0]
+        return _canonical_search(m + 1, rows, (cells, []))[0]
     gens: list[list[int]] = []
     code, _ = _canonical_search(m + 1, rows, (cells, []), gens)
     rivals &= ~_orbit_closure(zbit, gens)
     if rivals:
+        child = Graph._from_rows(m + 1, rows)
         lz = marked_label(child, m)
         if any(marked_label(child, v) < lz for v in bits(rivals)):
             return None
-    return child, code
+    return code
 
 
 def _mask_tables(perm):
@@ -216,9 +215,9 @@ def _grow_level(parents: tuple[str, ...]) -> tuple[str, ...]:
             if seen[smask]:
                 continue
             _mark_orbit(seen, smask, tables)
-            accepted = _canonical_augmentation(parent, cuts, smask)
-            if accepted is not None:
-                children.add(_graph6_of_code(n, accepted[1]))
+            code = _canonical_augmentation(parent, cuts, smask)
+            if code is not None:
+                children.add(_graph6_of_code(n, code))
         # the children share one order, so graph6 text sorts as the label does
         out.extend(sorted(children))
     return tuple(out)

@@ -419,6 +419,19 @@ def test_package_imports_only_the_standard_library():
     assert outside == []
 
 
+def test_package_has_no_global_statements():
+    # module state is rebound by no function: a cache is an lru_cache or a
+    # dict that its owner fills, never a name a ``global`` statement rebinds
+    pkg = Path(stgraphs.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno} {', '.join(node.names)}"
+        for path in sorted(pkg.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Global)
+    ]
+    assert found == []
+
+
 # public functions that callers outside the package use and nothing in it calls
 DOCUMENTED_ENTRY_POINTS = {"brute_force_connected", "engine_with_fallback", "revalidate_report"}
 

@@ -237,6 +237,10 @@ def test_canonical_label_examples():
     )
     k4me = join(empty_graph(2), complete_graph(2))
     assert canonical_label(complete_graph(4)) != canonical_label(k4me)
+    # the order-0 graph: the search's root is a leaf with code 0
+    assert canonical_label(empty_graph(0)) == b"\x00"
+    assert canonical_graph6(empty_graph(0)) == "?"
+    assert automorphism_generators(empty_graph(0)) == []
 
 
 def test_canonical_label_counts_match_pairwise_oracle():
@@ -509,11 +513,16 @@ def test_canonical_search_matches_unpruned_reference():
 
 
 @pytest.mark.parametrize(
-    "g, cap", [(hypercube(5), 1000), (petersen_graph(), 60)], ids=["Q5", "petersen"]
+    "g, cap, exact",
+    [(hypercube(5), 1000, [76, 71]), (petersen_graph(), 60, [21, 19])],
+    ids=["Q5", "petersen"],
 )
-def test_canonical_search_size_is_pruned(monkeypatch, g, cap):
+def test_canonical_search_size_is_pruned(monkeypatch, g, cap, exact):
     # without pruning Q5 takes 6,113 refinements and Petersen 191; every
-    # search node runs the refinement kernel once
+    # search node runs the refinement kernel once.  The exact counts pin
+    # the orbit pruning to the recorded automorphisms that fix every cell
+    # of the partition; pruning with every recorded automorphism, which
+    # is unsound, searches fewer nodes
     calls = []
     refine = graphcore._refine_split
 
@@ -523,10 +532,13 @@ def test_canonical_search_size_is_pruned(monkeypatch, g, cap):
 
     monkeypatch.setattr(graphcore, "_refine_split", counting)
     rng = random.Random(32)
+    counts = []
     for _ in range(2):
         calls.clear()
         canonical_label(relabeled(g, rng))
         assert 0 < len(calls) <= cap
+        counts.append(len(calls))
+    assert counts == exact
 
 
 def is_automorphism(g, perm):

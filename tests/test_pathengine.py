@@ -216,7 +216,7 @@ def test_apply_rule_rejects_bad_transcriptions(monkeypatch, bad_seq, message):
         _find_move(g, path)
 
 
-def test_every_cataloged_rule_has_instances():
+def test_every_move_has_instances():
     covered = {case[0] for case in POSITIVE_CASES} - RETIRED_RULE_MOVES.keys()
     assert covered == set(MOVES)
     assert {case[0] for case in NEGATIVE_CASES} - RETIRED_RULE_MOVES.keys() == covered

@@ -302,6 +302,7 @@ def test_hamilton_uv_path_examples():
     assert brute_hamilton_path(c4, 0, 2) is None
     assert hamilton_uv_path(c4, 0, 1) is not None
     assert hamilton_uv_path(complete_graph(2), 0, 1) == (0, 1)
+    assert hamilton_uv_path(empty_graph(2), 0, 1) is None
     with pytest.raises(ValueError):
         hamilton_uv_path(complete_graph(3), 1, 1)
 
@@ -348,7 +349,9 @@ def test_is_hamiltonian_connected_examples():
     assert is_hamiltonian_connected(complete_graph(4))
     assert not is_hamiltonian_connected(cycle_graph(4))
     assert not is_hamiltonian_connected(join(empty_graph(2), complete_graph(2)))
-    # tiny-order conventions: a single vertex or a single edge qualifies
+    # tiny-order conventions: no vertex, a single vertex or a single edge
+    # qualifies
+    assert is_hamiltonian_connected(empty_graph(0))
     assert is_hamiltonian_connected(empty_graph(1))
     assert is_hamiltonian_connected(complete_graph(2))
     assert not is_hamiltonian_connected(empty_graph(2))
