@@ -14,7 +14,6 @@ from .graphcore import (
     induced_subgraph,
     is_connected,
     join,
-    make_named,
     path_graph,
     petersen_graph,
     to_graph6,
@@ -33,7 +32,6 @@ __all__ = [
     "induced_subgraph",
     "is_connected",
     "join",
-    "make_named",
     "path_graph",
     "petersen_graph",
     "to_graph6",

@@ -80,14 +80,13 @@ def _cmd_verify(args) -> int:
             # byte read as U+FFFD, is rejected with its line number
             with open(args.input, "r", encoding="utf-8", errors="replace") as fh:
                 graphs = verify.read_graph6_lines(fh)
-    nmax = args.nmax if args.nmax is not None else DEFAULT_NMAX
     run = getattr(verify, spec.entry)
     if spec.k_min is None:
-        report = run(nmax, graphs=graphs, jobs=args.jobs)
+        report = run(args.nmax, graphs=graphs, jobs=args.jobs)
     elif args.k is None:
         raise SystemExit(f"error: verify {args.theorem} requires --k")
     else:
-        report = run(nmax, args.k, graphs=graphs, jobs=args.jobs)
+        report = run(args.nmax, args.k, graphs=graphs, jobs=args.jobs)
     print(report.summary())
     for line in report.machine_lines():
         print(line)
@@ -156,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a theorem scan")
     p.add_argument("theorem", choices=sorted(verify.THEOREMS))
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--nmax", type=int, default=None,
+    p.add_argument("--nmax", type=int, default=DEFAULT_NMAX,
                    help=f"largest order to scan (default {DEFAULT_NMAX})")
     p.add_argument("--input", default=None,
                    help="graph6 file (or - for stdin) replacing the generator")

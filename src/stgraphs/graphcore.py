@@ -163,25 +163,6 @@ def petersen_graph() -> Graph:
     return Graph.from_edges(10, edges)
 
 
-_FAMILIES = {
-    "empty": (empty_graph, 1),
-    "complete": (complete_graph, 1),
-    "path": (path_graph, 1),
-    "cycle": (cycle_graph, 1),
-    "petersen": (petersen_graph, 0),
-}
-
-
-def make_named(family: str, *params: int) -> Graph:
-    """Build a named graph: empty/complete/path/cycle take an order, petersen none."""
-    if family not in _FAMILIES:
-        raise ValueError(f"unknown family {family!r} (choose from {sorted(_FAMILIES)})")
-    ctor, arity = _FAMILIES[family]
-    if len(params) != arity:
-        raise ValueError(f"family {family!r} takes {arity} parameter(s), got {len(params)}")
-    return ctor(*params)
-
-
 # -- constructions ----------------------------------------------------
 
 
@@ -235,7 +216,7 @@ def connected_components(g: Graph) -> tuple[tuple[int, ...], ...]:
 
 
 def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or subset_connected(g.adj, g.full_mask())
+    return subset_connected(g.adj, g.full_mask())
 
 
 def subset_connected(adj, sub_mask: int) -> bool:
@@ -543,12 +524,6 @@ def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
 # -- graph6 codec ------------------------------------------------------
 
 
-def _pair_order(n: int):
-    for j in range(1, n):
-        for i in range(j):
-            yield i, j
-
-
 def _graph6_of_code(n: int, code: int) -> str:
     """Short-form graph6 of the order-n graph whose column-major upper
     triangle, read most significant bit first, is code."""
@@ -575,7 +550,7 @@ def to_graph6(g: Graph) -> str:
 def _pair_bits(n: int):
     """For each bit position p of an order-n graph6 bit string, in string
     order: the pair's vertices i, j and bit(i), bit(j)."""
-    return tuple((i, j, 1 << i, 1 << j) for i, j in _pair_order(n))
+    return tuple((i, j, 1 << i, 1 << j) for j in range(1, n) for i in range(j))
 
 
 # offsets (0 = most significant) of the set bits of each 6-bit graph6 value

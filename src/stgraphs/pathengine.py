@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .graphcore import Graph, _degree_cells, bits, component_masks
+from .graphcore import Graph, _degree_cells, bits, component_masks, mask_of
 from .predicates import JoinWitness, exception_witness, hamilton_uv_path, sparsest_induced_set
 
 
@@ -293,9 +293,7 @@ def _find_move(g: Graph, path: tuple[int, ...]):
     each call, so a wrapper bound to one of those names (the benchmark's
     tracer) sees every call."""
     adj = g.adj
-    path_mask = 0
-    for w in path:
-        path_mask |= 1 << w
+    path_mask = mask_of(path)
     rest = g.full_mask() ^ path_mask
     comps = component_masks(adj, rest)
     for rule_id, move in (("F", _rule_f), ("X", _rule_x)):

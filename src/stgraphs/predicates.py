@@ -118,8 +118,6 @@ def is_st_graph(g: Graph, s: int, t: int) -> bool:
         raise ValueError("s must be at least 1")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if t == 0:
-        return True
     if t == 1:
         # an s-set with no edge is an independent s-set
         return _independent_set_size(g, s) < s
@@ -443,7 +441,7 @@ def join_witness(g: Graph, k: int) -> JoinWitness | None:
     other n-k vertices, so any member determines the whole part.
     """
     n = g.n
-    if k < 1 or n - k < 1:
+    if n - k < 1:
         return None
     full = (1 << n) - 1
     rest_size = n - k

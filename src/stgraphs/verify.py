@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 from operator import or_
-from typing import Callable
 
 from .graphcore import (
     Graph,
@@ -37,7 +37,6 @@ from .graphcore import (
     to_graph6,
 )
 from .predicates import (
-    exception_witness,
     is_hamiltonian,
     is_hamiltonian_connected,
     is_k_connected,
@@ -50,8 +49,6 @@ from .predicates import (
 ENUM_MAX = 10
 BOUND_MAX = 9
 BRUTE_MAX = 7
-
-_level_cache: dict[int, tuple[str, ...]] = {}
 
 
 def _parent_cuts(parent: Graph):
@@ -223,13 +220,11 @@ def _grow_level(parents: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def _connected_level(n: int) -> tuple[str, ...]:
-    if n not in _level_cache:
-        if n == 1:
-            _level_cache[1] = (to_graph6(Graph(1, [0])),)
-        else:
-            _level_cache[n] = _grow_level(_connected_level(n - 1))
-    return _level_cache[n]
+    if n == 1:
+        return (to_graph6(Graph(1, [0])),)
+    return _grow_level(_connected_level(n - 1))
 
 
 def connected_graph6(n: int) -> tuple[str, ...]:
@@ -307,10 +302,7 @@ class TheoremReport:
 
     def machine_lines(self):
         params = " ".join(f"{k}={v}" for k, v in self.params)
-        head = f"REPORT theorem={self.theorem}"
-        if params:
-            head += f" {params}"
-        yield head
+        yield f"REPORT theorem={self.theorem} {params}"
         yield (
             f"scanned={self.scanned} hypothesis_hits={self.hypothesis_hits}"
             f" n_min={self.n_range[0]} n_max={self.n_range[1]}"
@@ -337,24 +329,10 @@ class TheoremReport:
 # -- theorem scans -------------------------------------------------------
 #
 # main, ce and wangmou are one statement: a k-connected [k+d, t]-graph
-# meets its conclusion exactly unless its exception recognizer accepts
-# it.  A judge maps (graph, k) to (hypothesis hits, exception or None,
-# refuted); a recognizer maps (graph, k) to (kind, witness or None) or
-# None, and revalidate_report calls the same recognizer the scan did.
-
-
-def _main_exception(g: Graph, k: int):
-    """An independent k-set joined to an arbitrary graph on k vertices."""
-    w = exception_witness(g, k)
-    return None if w is None else ("join-witness", w)
-
-
-def _wang_mou_exception(g: Graph, k: int):
-    """The Petersen graph, or an independent (k+1)-set joined to k vertices."""
-    if is_petersen(g):
-        return "petersen", None
-    w = join_witness(g, k + 1) if g.n == 2 * k + 1 else None
-    return None if w is None else ("join-witness", w)
+# meets its conclusion exactly unless Theorem.exception recognizes it.
+# A judge maps (graph, k) to (hypothesis hits, exception or None,
+# refuted); Theorem.exception maps (graph, k) to (kind, witness or
+# None) or None, and revalidate_report calls it as the scan did.
 
 
 def _judge_edge_bound(g: Graph, k: int):
@@ -378,8 +356,10 @@ def _judge_edge_bound(g: Graph, k: int):
 class Theorem:
     """One theorem scan.  With ``d`` set, every k-connected [k+d, t]-graph
     of order >= 3 is hamiltonian-connected (hamiltonian unless
-    ``connected``) exactly unless ``exception`` recognizes it; bound
-    leaves ``d`` None.  The judge gates in the order: order >= max(3,
+    ``connected``) exactly unless ``exception`` recognizes it: the
+    Petersen graph when ``petersen`` is set, or, with ``join`` = e, an
+    independent (k+e)-set joined to a graph on k vertices; bound leaves
+    ``d`` None.  The judge gates in the order: order >= max(3,
     k+1), minimum degree >= k (implied by kappa >= k, and the cheapest
     test), [k+d, t], kappa >= k, then the exception and the conclusion.
     ``k_min`` is the smallest k taken (None: no k),
@@ -396,7 +376,18 @@ class Theorem:
     d: int | None = None
     t: int = 2
     connected: bool = True
-    exception: Callable | None = None
+    join: int | None = None
+    petersen: bool = False
+
+    def exception(self, g: Graph, k: int):
+        """(kind, witness or None) when g is an exception of this theorem
+        at k, else None."""
+        if self.petersen and is_petersen(g):
+            return "petersen", None
+        if self.join is not None and g.n == 2 * k + self.join:
+            w = join_witness(g, k + self.join)
+            return None if w is None else ("join-witness", w)
+        return None
 
     def judge(self, g: Graph, k: int):
         if self.d is None:
@@ -409,7 +400,7 @@ class Theorem:
         )
         if not hit:
             return 0, None, False
-        exception = None if self.exception is None else self.exception(g, k)
+        exception = self.exception(g, k)
         holds = is_hamiltonian_connected(g) if self.connected else is_hamiltonian(g)
         return 1, exception, holds == (exception is not None)
 
@@ -417,7 +408,7 @@ class Theorem:
 THEOREMS = {
     "main": Theorem(
         "main", 2, "hamiltonian-connectivity of k-connected [k+1,2]-graphs",
-        "verify_main_theorem", d=1, t=2, exception=_main_exception,
+        "verify_main_theorem", d=1, t=2, join=0,
     ),
     "ce": Theorem(
         "chvatal-erdos", 2, "hamiltonian-connectivity under connectivity > independence",
@@ -425,7 +416,7 @@ THEOREMS = {
     ),
     "wangmou": Theorem(
         "wang-mou", 1, "hamiltonicity of k-connected [k+2,2]-graphs",
-        "verify_wang_mou", d=2, t=2, connected=False, exception=_wang_mou_exception,
+        "verify_wang_mou", d=2, t=2, connected=False, join=1, petersen=True,
     ),
     "bound": Theorem(
         "edge-bound", None, "the [s,t] edge lower bound", "verify_edge_bound", n_max=BOUND_MAX,
@@ -538,7 +529,7 @@ def revalidate_report(report: TheoremReport) -> bool:
     k = dict(report.params).get("k", 0)
     for g6, kind in report.exceptions:
         g = from_graph6(g6)
-        found = recognize(g, k) if recognize is not None else None
+        found = recognize(g, k)
         if found is None or found[0] != kind:
             return False
         if found[1] is not None and not found[1].validate(g):

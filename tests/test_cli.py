@@ -432,6 +432,34 @@ def test_package_has_no_global_statements():
     assert found == []
 
 
+def test_package_has_no_module_level_empty_containers():
+    # no module starts a container empty and fills it at run time: a cache
+    # is an lru_cache on the function that computes the value
+    pkg = Path(stgraphs.__file__).resolve().parent
+
+    def empty(value):
+        if isinstance(value, ast.Dict):
+            return not value.keys
+        if isinstance(value, ast.List):
+            return not value.elts
+        return (
+            isinstance(value, ast.Call)
+            and isinstance(value.func, ast.Name)
+            and value.func.id in ("set", "dict", "list")
+            and not value.args
+            and not value.keywords
+        )
+
+    found = []
+    for path in sorted(pkg.rglob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                if empty(node.value):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    found += [f"{path.stem}.{ast.unparse(t)}" for t in targets]
+    assert found == []
+
+
 # public functions that callers outside the package use and nothing in it calls
 DOCUMENTED_ENTRY_POINTS = {"brute_force_connected", "engine_with_fallback", "revalidate_report"}
 

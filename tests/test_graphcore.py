@@ -23,7 +23,6 @@ from stgraphs.graphcore import (
     induced_subgraph,
     is_connected,
     join,
-    make_named,
     marked_label,
     path_graph,
     petersen_graph,
@@ -70,19 +69,19 @@ def hypercube(d):
 
 
 def test_complete_graph_example():
-    g = make_named("complete", 4)
+    g = complete_graph(4)
     assert g.edge_count == 6
     assert all(g.degree(v) == 3 for v in range(4))
 
 
 def test_cycle_graph_example():
-    g = make_named("cycle", 4)
+    g = cycle_graph(4)
     assert g.edge_count == 4
     assert all(g.degree(v) == 2 for v in range(4))
 
 
 def test_petersen_structure_brute_force():
-    g = make_named("petersen")
+    g = petersen_graph()
     assert g.n == 10 and g.edge_count == 15
     assert all(g.degree(v) == 3 for v in range(10))
     # girth 5 by brute force: no 3- or 4-cycle, some 5-cycle
@@ -100,13 +99,10 @@ def test_petersen_structure_brute_force():
     assert has_c5
 
 
-@pytest.mark.parametrize(
-    "family, params",
-    [("cycle", (2,)), ("path", (0,)), ("petersen", (5,)), ("nosuch", (3,))],
-)
-def test_make_named_rejects_bad_params(family, params):
+@pytest.mark.parametrize("ctor, n", [(cycle_graph, 2), (path_graph, 0)])
+def test_constructors_reject_bad_params(ctor, n):
     with pytest.raises(ValueError):
-        make_named(family, *params)
+        ctor(n)
 
 
 # -- constructor invariants ------------------------------------------------
@@ -198,6 +194,7 @@ def test_induced_petersen_independent_set_plus_one():
 def test_connected_components():
     assert connected_components(complete_graph(4)) == ((0, 1, 2, 3),)
     assert connected_components(empty_graph(3)) == ((0,), (1,), (2,))
+    assert is_connected(empty_graph(0)) and is_connected(empty_graph(1))
     cut = induced_subgraph(cycle_graph(4), [0, 2])
     assert connected_components(cut) == ((0,), (1,))
     # components of the subgraph induced on {0, 2, 3, 5} of the 6-cycle

@@ -141,6 +141,7 @@ def test_is_st_graph_examples():
     assert not is_st_graph(cycle_graph(5), 3, 2)
     assert is_st_graph(complete_graph(4), 5, 1)  # vacuous: no induced order-5 subgraph
     assert is_st_graph(cycle_graph(5), 3, 0)
+    assert is_st_graph(cycle_graph(3), 5, 0)  # t = 0 with s > n
 
 
 # -- independence number -----------------------------------------------------
@@ -462,6 +463,9 @@ def test_exception_witness_examples():
 def test_exception_witness_requires_matching_order():
     assert exception_witness(cycle_graph(6), 2) is None
     assert join_witness(cycle_graph(6), 2) is None
+    # no vertex has degree n - k >= n, so k <= 0 has no witness
+    assert join_witness(cycle_graph(4), 0) is None
+    assert join_witness(cycle_graph(4), -1) is None
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from dataclasses import replace
+from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb, factorial
 
@@ -30,7 +31,9 @@ from stgraphs import verify
 from stgraphs.predicates import (
     independence_number,
     is_k_connected,
+    is_petersen,
     is_st_graph,
+    join_witness,
     min_induced_edges,
 )
 from stgraphs.verify import (
@@ -194,7 +197,11 @@ def test_growth_search_counts_pinned(monkeypatch):
     monkeypatch.setattr(verify, "marked_label", counting_marked)
     monkeypatch.setattr(verify, "_canonical_search", counting_search)
     monkeypatch.setattr(verify, "_canonical_augmentation", counting_augment)
-    monkeypatch.setattr(verify, "_level_cache", {})
+    # a fresh cache: the recursion looks _connected_level up on the module,
+    # so every level from 1 is grown again under the counters
+    monkeypatch.setattr(
+        verify, "_connected_level", lru_cache(maxsize=None)(verify._connected_level.__wrapped__)
+    )
     verify._connected_level(8)
     assert counts == {
         "marked": 134, "searches": 12136, "accepted": 12112, "fallback_rejects": 24,
@@ -432,6 +439,31 @@ def test_wang_mou_petersen_via_input_stream():
     assert [kind for _, kind in report.exceptions] == ["petersen"]
     assert revalidate_report(report)
     assert next(report.machine_lines()) == "REPORT theorem=wang-mou k=3 source=input"
+
+
+def test_exception_table_matches_per_theorem_rules():
+    # each theorem's exception rule stated on its own; ce has none
+    def reference(key, g, k):
+        w = None
+        if key == "main":
+            w = join_witness(g, k) if g.n == 2 * k else None
+        elif key == "wangmou":
+            if is_petersen(g):
+                return "petersen", None
+            w = join_witness(g, k + 1) if g.n == 2 * k + 1 else None
+        return None if w is None else ("join-witness", w)
+
+    graphs = [g for n in range(1, 9) for g in enumerate_connected(n)] + [petersen_graph()]
+    cases = [(g, k) for g in graphs for k in range(1, 6)]
+    assert len(cases) == 60570
+    for key in ("main", "wangmou", "ce"):
+        exception = verify.THEOREMS[key].exception
+        found = 0
+        for g, k in cases:
+            got = exception(g, k)
+            assert got == reference(key, g, k), (key, to_graph6(g), k)
+            found += got is not None
+        assert (found > 0) == (key != "ce")
 
 
 # -- edge bound ---------------------------------------------------------------------
