@@ -5,7 +5,11 @@ by canonical vertex augmentation: a new vertex is attached to one
 neighbor set per orbit of the parent's automorphism group, the child is
 kept only when the new vertex lies in the canonical deletion orbit of
 the child, and children of one parent are deduplicated by canonical
-graph6.  The theorem scans then test every graph in range
+graph6.  The brute-force oracle that checks the generator shares only
+the canonical label with it: it labels the connected labeled graphs
+whose degrees are non-decreasing in vertex order, which is exact because
+sorting the vertices by degree gives every isomorphism class such a
+labeling.  The theorem scans then test every graph in range
 against the hypotheses and record exception/counterexample certificates
 as graph6 strings.
 """
@@ -242,21 +246,39 @@ def enumerate_connected(n: int):
 
 
 def brute_force_connected(n: int):
-    """Independent oracle: scan all labeled graphs of order n and
-    deduplicate the connected ones by canonical label."""
+    """Independent oracle: scan the labeled graphs of order n whose
+    degrees are non-decreasing in vertex order and deduplicate the
+    connected ones by canonical label.
+
+    The degree-order rule is exact: listing the vertices of any graph by
+    degree relabels it into a labeled graph that passes, so every
+    isomorphism class is still reached.  The rule only decides which
+    labeled graph stands for a class and the order in which classes
+    first appear.  The neighbours of vertex j below j are chosen for
+    j = n-1 down to 0, so j's degree is final once they are, and a choice
+    that lifts it above the degree of j+1 skips every labeled graph that
+    would extend it.  Only graphs that pass are tested for connectivity
+    and labeled.
+    """
     if not 1 <= n <= BRUTE_MAX:
-        raise ValueError(f"order must be within 1..{BRUTE_MAX} for the full scan")
-    pair_list = [(i, j) for j in range(1, n) for i in range(j)]
+        raise ValueError(f"order must be within 1..{BRUTE_MAX} for the brute-force scan")
+
+    def degree_ordered(j, rows, cap):
+        # rows holds every edge at a vertex above j; cap is deg(j + 1)
+        if j < 0:
+            yield rows
+            return
+        for lower in range(1 << j):
+            deg = rows[j].bit_count() + lower.bit_count()
+            if deg <= cap:
+                child = rows.copy()
+                child[j] |= lower
+                for i in bits(lower):
+                    child[i] |= 1 << j
+                yield from degree_ordered(j - 1, child, deg)
+
     seen: set[bytes] = set()
-    for code in range(1 << len(pair_list)):
-        rows = [0] * n
-        c = code
-        while c:
-            b = c & -c
-            i, j = pair_list[b.bit_length() - 1]
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-            c ^= b
+    for rows in degree_ordered(n - 1, [0] * n, n - 1):
         g = Graph._from_rows(n, rows)
         if not is_connected(g):
             continue
@@ -336,7 +358,7 @@ class TheoremReport:
 
 
 def _judge_edge_bound(g: Graph, k: int):
-    n, e = g.n, g.edge_count
+    n = g.n
     orders = range(2, n + 1)
     # one hit per order s; the bound e >= t*.n(n-1)/(s(s-1)) fails iff
     # s(s-1)e < t*.n(n-1), i.e. iff g is an [s, s(s-1)e // (n(n-1)) + 1]-graph.
@@ -344,6 +366,7 @@ def _judge_edge_bound(g: Graph, k: int):
     # by averaging, so it certifies order s; the exact search runs only at
     # an order it does not certify, and the verdict never rests on the lemma.
     peel = peel_edge_counts(g)
+    e = peel[n]
     refuted = any(
         peel[s] * n * (n - 1) > s * (s - 1) * e
         and is_st_graph(g, s, s * (s - 1) * e // (n * (n - 1)) + 1)

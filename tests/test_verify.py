@@ -329,6 +329,48 @@ def test_brute_force_examples():
     assert [g.n for g in brute_force_connected(2)] == [2]
     with pytest.raises(ValueError):
         list(brute_force_connected(8))
+    for n in range(1, 7):
+        for g in brute_force_connected(n):
+            degrees = [g.degree(v) for v in range(n)]
+            assert is_connected(g) and degrees == sorted(degrees), g.adj
+
+
+def unfiltered_connected_labels(n):
+    """Reference scan: every labeled graph of order n, the connected ones
+    deduplicated by canonical label, with no degree-order rule."""
+    pairs = list(combinations(range(n), 2))
+    labels = set()
+    for code in range(1 << len(pairs)):
+        rows = [0] * n
+        for i, (u, v) in enumerate(pairs):
+            if code >> i & 1:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+        g = Graph(n, rows)
+        if is_connected(g):
+            labels.add(canonical_label(g))
+    return sorted(labels)
+
+
+def test_brute_force_matches_unfiltered_scan():
+    for n in range(1, 7):
+        got = sorted(canonical_label(g) for g in brute_force_connected(n))
+        assert got == unfiltered_connected_labels(n), n
+
+
+def test_brute_force_labels_only_degree_ordered_graphs(monkeypatch):
+    # the unfiltered scan labels the 26,704 connected labeled graphs of
+    # order 6; the degree-order rule leaves 787 of them
+    calls = []
+    label = verify.canonical_label
+
+    def counting(g):
+        calls.append(1)
+        return label(g)
+
+    monkeypatch.setattr(verify, "canonical_label", counting)
+    assert sum(1 for _ in brute_force_connected(6)) == 112
+    assert len(calls) == 787
 
 
 def test_generator_matches_brute_force_oracle_small():
@@ -530,16 +572,20 @@ def test_edge_bound_peel_certifies_every_order(monkeypatch):
 
 
 def test_edge_bound_exact_fallback_decides_uncertified_orders(monkeypatch):
-    """With a peel that certifies nothing (every entry C(s,2)), the exact
-    search decides every order and the verdicts do not change."""
+    """With a peel that certifies no order below n (every entry C(s,2)
+    but the last, which is the edge count the judge reads), the exact
+    search decides every such order and the verdicts do not change."""
     want = list(verify_edge_bound(7).machine_lines())
     monkeypatch.setattr(
-        verify, "peel_edge_counts", lambda g: [s * (s - 1) // 2 for s in range(g.n + 1)]
+        verify,
+        "peel_edge_counts",
+        lambda g: [s * (s - 1) // 2 for s in range(g.n)] + [g.edge_count],
     )
     calls = count_exact_bound_searches(monkeypatch)
     assert list(verify_edge_bound(7).machine_lines()) == want
-    # C(s,2).n(n-1) <= s(s-1)e only for complete graphs, which are never searched
-    assert len(calls) == 5785 - sum(n - 1 for n in range(2, 8))
+    # C(s,2).n(n-1) <= s(s-1)e only for complete graphs, which are never
+    # searched; every other graph is searched at each order 2..n-1
+    assert len(calls) == sum((n - 2) * (CONNECTED_COUNTS[n] - 1) for n in range(2, 8))
     assert_judge_matches_exact_minimum_formula()
 
 
