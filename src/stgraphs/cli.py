@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Subcommands: ``check`` (all predicates for one graph), ``verify`` (the
-four theorem scans), ``find-path`` (rule engine plus exact fallback),
-``min-size`` (exact extremal search) and ``gen`` (graph6 stream).  Exit
-code 0 means no counterexamples resp. path found; nonzero otherwise.
+Subcommands: ``check`` (all predicates for one graph; --k adds the main
+theorem's exception), ``verify`` (the four theorem scans), ``find-path``
+(rule engine, exact search on a stall), ``min-size`` (exact extremal
+search) and ``gen`` (graph6 stream).  Exit code 0 means no
+counterexamples resp. path found; nonzero otherwise.
 """
 
 from __future__ import annotations
@@ -53,10 +54,11 @@ def _cmd_check(args) -> int:
             print(f"is_[{args.s},{args.t}]_graph: {predicates.is_st_graph(g, args.s, args.t)}")
     if args.k is not None:
         print(f"is_{args.k}_connected: {predicates.is_k_connected(g, args.k)}")
-        w = predicates.exception_witness(g, args.k)
-        if w is None:
+        exception = verify.THEOREMS["main"].exception(g, args.k)
+        if exception is None:
             print(f"exception_witness(k={args.k}): none")
         else:
+            w = exception[1]
             print(
                 f"exception_witness(k={args.k}): independent={list(w.independent_part)}"
                 f" rest={list(w.rest)}"
@@ -78,8 +80,11 @@ def _cmd_verify(args) -> int:
         else:
             # graph6 is ASCII; any other character, or an undecodable
             # byte read as U+FFFD, is rejected with its line number
-            with open(args.input, "r", encoding="utf-8", errors="replace") as fh:
-                graphs = verify.read_graph6_lines(fh)
+            try:
+                with open(args.input, "r", encoding="utf-8", errors="replace") as fh:
+                    graphs = verify.read_graph6_lines(fh)
+            except OSError as exc:
+                raise SystemExit(f"error: {exc}")
     run = getattr(verify, spec.entry)
     if spec.k_min is None:
         report = run(args.nmax, graphs=graphs, jobs=args.jobs)

@@ -216,22 +216,7 @@ def connected_components(g: Graph) -> tuple[tuple[int, ...], ...]:
 
 
 def is_connected(g: Graph) -> bool:
-    return subset_connected(g.adj, g.full_mask())
-
-
-def subset_connected(adj, sub_mask: int) -> bool:
-    """Connectivity of the subgraph induced on the vertices of sub_mask."""
-    if sub_mask == 0:
-        return True
-    comp = sub_mask & -sub_mask
-    frontier = comp
-    while frontier:
-        nxt = 0
-        for v in bits(frontier):
-            nxt |= adj[v]
-        frontier = nxt & sub_mask & ~comp
-        comp |= frontier
-    return comp == sub_mask
+    return len(component_masks(g.adj, g.full_mask())) < 2
 
 
 # -- canonical labeling ------------------------------------------------

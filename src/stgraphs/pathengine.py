@@ -12,12 +12,13 @@ two consecutive path neighbours of x, and y closes the gap that x
 leaves, directly or by reversing the stretch up to another anchor.
 Every move lengthens the path, so the engine makes at most n moves.
 The moves are not claimed complete, so the engine either returns a
-Hamilton path or stalls, and leaves totality to the exact backtracking
-fallback.  A stall carries a certificate against the paper's
-hypothesis or its exception only when one exists: the join witness of
-kK1 v G_k (order 2k) when it refutes the pair by counting, else, given
-k, a (k+1)-set with at most one edge, found by the exact [k+1,2]
-search, so G is not a [k+1,2]-graph; else none.
+Hamilton path or stalls, and leaves totality to the exact search
+``find-path`` runs on a stall.  A stall carries a certificate against
+the paper's hypothesis or its exception only when one exists: the join
+witness of kK1 v G_k (order 2k, main's ``Theorem.exception``) when it
+refutes the pair by counting, else, given k, a (k+1)-set with at most
+one edge, found by the exact [k+1,2] search, so G is not a
+[k+1,2]-graph; else none.
 
 Each search for a move reads the path once for its vertex mask, and
 one search finds the components of G - V(P).  The moves are three plain
@@ -45,7 +46,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .graphcore import Graph, _degree_cells, bits, component_masks, mask_of
-from .predicates import JoinWitness, exception_witness, hamilton_uv_path, sparsest_induced_set
+from .predicates import JoinWitness, sparsest_induced_set
+from .verify import THEOREMS
 
 
 class RuleTranscriptionError(RuntimeError):
@@ -312,9 +314,9 @@ def _find_move(g: Graph, path: tuple[int, ...]):
 
 
 def _extract_certificate(g: Graph, path: tuple[int, ...], k: int | None):
-    w = exception_witness(g, k or g.n // 2)
-    if w is not None and w.refutes(g, path[0], path[-1]):
-        return Certificate("join-witness", witness=w)
+    exception = THEOREMS["main"].exception(g, k or g.n // 2)
+    if exception is not None and exception[1].refutes(g, path[0], path[-1]):
+        return Certificate("join-witness", witness=exception[1])
     if k is not None:
         # a (k+1)-set with at most one edge: G is not a [k+1,2]-graph
         edges, sparse = sparsest_induced_set(g, k + 1, stop_below=2)
@@ -328,9 +330,10 @@ def improve(g: Graph, u: int, v: int, k: int | None = None) -> EngineResult:
 
     Each step takes the first move that F, X or E3 finds, in that order.
     Every move lengthens the path, so the loop ends within n moves.  On a stall the result
-    carries the join witness of an order-2k join (k = n/2 when k is
-    None) when a side of it refutes the pair; else, given k, a
-    (k+1)-set with at most one edge whenever G has one; else None.
+    carries main's exception at k (k = n // 2 when k is None), the join
+    witness of an order-2k join, when a side of it refutes the pair;
+    else, given k, a (k+1)-set with at most one edge whenever G has one;
+    else None.
     Raises ValueError on bad endpoints or k < 1, and NoPathError (a
     ValueError) when u and v are not connected.
     """
@@ -356,15 +359,3 @@ def improve(g: Graph, u: int, v: int, k: int | None = None) -> EngineResult:
         return EngineResult("hamilton-path", path, None, tuple(trace))
     return EngineResult("stalled", path, _extract_certificate(g, path, k), tuple(trace))
 
-
-def engine_with_fallback(g: Graph, u: int, v: int) -> tuple[int, ...] | None:
-    """Rule engine first, exact backtracking second; agrees with the
-    exact search on existence.  None when no Hamilton (u,v)-path exists,
-    including when no (u,v)-path does; bad endpoints raise ValueError."""
-    try:
-        res = improve(g, u, v)
-    except NoPathError:
-        return None
-    if res.outcome == "hamilton-path":
-        return res.path
-    return hamilton_uv_path(g, u, v)

@@ -459,17 +459,6 @@ def join_witness(g: Graph, k: int) -> JoinWitness | None:
     return None
 
 
-def exception_witness(g: Graph, k: int) -> JoinWitness | None:
-    """Witness for the hamiltonian-connectivity exception family: an
-    independent k-set joined to an arbitrary graph on the other k
-    vertices (so the order must be 2k)."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if g.n != 2 * k:
-        return None
-    return join_witness(g, k)
-
-
 def is_petersen(g: Graph) -> bool:
     """Whether g is isomorphic to the Petersen graph: 10 vertices,
     3-regular, and the canonical label of ``petersen_graph()``."""

@@ -310,7 +310,7 @@ def read_graph6_lines(lines):
 
 @dataclass(frozen=True)
 class TheoremReport:
-    theorem: str  # main | chvatal-erdos | wang-mou | edge-bound
+    theorem: Theorem  # the THEOREMS entry that was scanned
     n_range: tuple[int, int]
     params: tuple[tuple[str, int | str], ...]  # k, then nmax=N or source=input
     scanned: int
@@ -324,7 +324,7 @@ class TheoremReport:
 
     def machine_lines(self):
         params = " ".join(f"{k}={v}" for k, v in self.params)
-        yield f"REPORT theorem={self.theorem} {params}"
+        yield f"REPORT theorem={self.theorem.name} {params}"
         yield (
             f"scanned={self.scanned} hypothesis_hits={self.hypothesis_hits}"
             f" n_min={self.n_range[0]} n_max={self.n_range[1]}"
@@ -340,7 +340,7 @@ class TheoremReport:
     def summary(self) -> str:
         status = "verified" if self.verified else "REFUTED"
         return (
-            f"{status}: {_theorem(self.theorem).claim}; scanned {self.scanned} graphs"
+            f"{status}: {self.theorem.claim}; scanned {self.scanned} graphs"
             f" (orders {self.n_range[0]}..{self.n_range[1]}),"
             f" {self.hypothesis_hits} hypothesis hits,"
             f" {len(self.exceptions)} exceptions,"
@@ -382,11 +382,12 @@ class Theorem:
     ``connected``) exactly unless ``exception`` recognizes it: the
     Petersen graph when ``petersen`` is set, or, with ``join`` = e, an
     independent (k+e)-set joined to a graph on k vertices; bound leaves
-    ``d`` None.  The judge gates in the order: order >= max(3,
-    k+1), minimum degree >= k (implied by kappa >= k, and the cheapest
-    test), [k+d, t], kappa >= k, then the exception and the conclusion.
-    ``k_min`` is the smallest k taken (None: no k),
-    ``n_max`` caps generated orders, and ``entry`` names the public scan
+    ``d`` None.  The join rule lives only in ``exception``; the engine's
+    stall certificate and ``cli check`` call main's.  The judge gates in
+    the order: order >= max(3, k+1), minimum degree >= k (implied by
+    kappa >= k, and the cheapest test), [k+d, t], kappa >= k, then the
+    exception and the conclusion.  ``k_min`` is the smallest k taken
+    (None: no k), ``n_max`` caps generated orders, and ``entry`` names the public scan
     function.  Callers look ``entry`` up, and the judge its predicates,
     on this module at call time, so wrappers installed there see them.
     """
@@ -447,10 +448,6 @@ THEOREMS = {
 }
 
 
-def _theorem(report_name: str) -> Theorem:
-    return next(t for t in THEOREMS.values() if t.name == report_name)
-
-
 def _worker_count(jobs: int, cpus: int | None) -> int:
     """Pool size for a scan: the requested jobs, at most one per CPU."""
     if jobs < 1:
@@ -506,7 +503,7 @@ def _scan(key: str, n_max: int, k: int | None, graphs, jobs: int) -> TheoremRepo
             parts = pool.map(_scan_slice, slices)
     orders = set().union(*(p[0] for p in parts))
     return TheoremReport(
-        spec.name,
+        spec,
         (min(orders), max(orders)),
         (source,) if spec.k_min is None else (("k", k), source),
         len(items),
@@ -548,7 +545,7 @@ def verify_edge_bound(n_max: int, graphs=None, jobs: int = 1) -> TheoremReport:
 def revalidate_report(report: TheoremReport) -> bool:
     """Re-derive every exception certificate with the recognizer the scan
     used, and validate its witness on the decoded graph."""
-    recognize = _theorem(report.theorem).exception
+    recognize = report.theorem.exception
     k = dict(report.params).get("k", 0)
     for g6, kind in report.exceptions:
         g = from_graph6(g6)

@@ -20,9 +20,8 @@ from stgraphs.graphcore import (
     petersen_graph,
     to_graph6,
 )
-from stgraphs.pathengine import engine_with_fallback, validate_path
+from stgraphs.pathengine import validate_path
 from stgraphs.predicates import (
-    exception_witness,
     hamilton_uv_path,
     independence_number,
     is_hamiltonian,
@@ -30,8 +29,15 @@ from stgraphs.predicates import (
     min_induced_edges,
     vertex_connectivity,
 )
-from stgraphs.verify import brute_force_connected, enumerate_connected
-from test_pathengine import MOVES, NEGATIVE_CASES, POSITIVE_CASES, case_moves, first_move
+from stgraphs.verify import THEOREMS, brute_force_connected, enumerate_connected
+from test_pathengine import (
+    MOVES,
+    NEGATIVE_CASES,
+    POSITIVE_CASES,
+    case_moves,
+    engine_then_exact,
+    first_move,
+)
 
 
 def run_cli(capsys, *argv):
@@ -104,8 +110,8 @@ def test_criterion_2_main_theorem_k3(acceptance_log, capsys):
     witnesses_ok = True
     for g6, kind in exceptions:
         g = from_graph6(g6)
-        w = exception_witness(g, 3)
-        if kind != "join-witness" or g.n != 6 or w is None or not w.validate(g):
+        found = THEOREMS["main"].exception(g, 3)
+        if kind != "join-witness" or g.n != 6 or found is None or not found[1].validate(g):
             witnesses_ok = False
     ok = (
         code == 0
@@ -203,7 +209,7 @@ def test_criterion_7_engine_oracle_sweep(acceptance_log):
         for g in enumerate_connected(n):
             for u in range(n):
                 for v in range(u + 1, n):
-                    got = engine_with_fallback(g, u, v)
+                    got = engine_then_exact(g, u, v)
                     want = hamilton_uv_path(g, u, v)
                     pairs += 1
                     if (got is None) != (want is None):

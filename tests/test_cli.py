@@ -168,6 +168,17 @@ def test_verify_rejects_empty_input(tmp_path):
     assert str(exc.value.code).startswith("error:")
 
 
+@pytest.mark.parametrize("name", ["missing.g6", "."], ids=["missing", "directory"])
+def test_verify_rejects_unreadable_input(capsys, tmp_path, name):
+    # a path that cannot be opened as a file is an error, not a traceback
+    fp = tmp_path / name
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "main", "--k", "2", "--input", str(fp)])
+    assert str(exc.value.code).startswith("error: [Errno ")
+    assert str(fp) in str(exc.value.code)
+    assert capsys.readouterr().out == ""
+
+
 def test_find_path_success(capsys):
     code, out = run_cli(capsys, "find-path", "C~", "--u", "0", "--v", "3", "--trace")
     assert code == 0
@@ -219,6 +230,15 @@ def test_find_path_failure_certificate(capsys):
     assert "stalled" in out
     assert "join-witness" in out
     assert "no hamilton path exists" in out
+
+
+def test_find_path_rejects_disconnected_pair(capsys):
+    # two isolated vertices: no (u,v)-path, so neither the engine nor the
+    # exact search runs
+    with pytest.raises(SystemExit) as exc:
+        main(["find-path", "A?", "--u", "0", "--v", "1"])
+    assert exc.value.code == "error: no (0,1)-path exists"
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("k", ["0", "-1"])
@@ -461,7 +481,7 @@ def test_package_has_no_module_level_empty_containers():
 
 
 # public functions that callers outside the package use and nothing in it calls
-DOCUMENTED_ENTRY_POINTS = {"brute_force_connected", "engine_with_fallback", "revalidate_report"}
+DOCUMENTED_ENTRY_POINTS = {"brute_force_connected", "revalidate_report"}
 
 
 def test_package_has_no_unreferenced_top_level_names():
@@ -514,6 +534,29 @@ def test_package_has_no_unreferenced_top_level_names():
     ]
     assert unreferenced == []
     assert unloaded == []
+
+
+def test_package_applies_the_join_rule_only_in_theorem_exception():
+    # the join exceptions are table data: only Theorem.exception names
+    # join_witness, so the engine's stall certificate and ``check`` read
+    # the rule off verify.THEOREMS instead of restating it
+    pkg = Path(stgraphs.__file__).resolve().parent
+    users = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Name) and child.id == "join_witness" or (
+                isinstance(child, ast.Attribute) and child.attr == "join_witness"
+            ):
+                users.append(scope)
+            visit(child, scope)
+
+    for path in sorted(pkg.rglob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert users == ["verify.Theorem.exception"]
 
 
 # the ten nmax-8 theorem scans; their report lines are pinned by one digest,

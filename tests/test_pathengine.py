@@ -24,12 +24,11 @@ from stgraphs.pathengine import (
     _rule_x,
     _seed_path,
     apply_rule,
-    engine_with_fallback,
     improve,
     validate_path,
 )
-from stgraphs.predicates import hamilton_uv_path, is_st_graph, is_k_connected, exception_witness
-from stgraphs.verify import enumerate_connected
+from stgraphs.predicates import hamilton_uv_path, is_st_graph, is_k_connected
+from stgraphs.verify import THEOREMS, enumerate_connected
 
 
 def path_plus(n, chords, y_edges):
@@ -286,14 +285,13 @@ def test_improve_rejects_disconnected_pair():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
     with pytest.raises(NoPathError):
         improve(g, 0, 3)
-    assert engine_with_fallback(g, 0, 3) is None
 
 
 @pytest.mark.parametrize("u, v", [(0, 99), (99, 0), (-1, 2), (2, 2)])
 def test_engine_rejects_bad_endpoints(u, v):
     # a bad endpoint is an error, not "no Hamilton path", as in the exact search
     c5 = cycle_graph(5)
-    for search in (hamilton_uv_path, improve, engine_with_fallback):
+    for search in (hamilton_uv_path, improve):
         with pytest.raises(ValueError) as exc:
             search(c5, u, v)
         assert not isinstance(exc.value, NoPathError)
@@ -316,11 +314,20 @@ def test_improve_trace_measure_increases():
         assert move.length_after > move.length_before
 
 
+def engine_then_exact(g, u, v):
+    # find-path's step: the engine, then the exact search on a stall
+    try:
+        res = improve(g, u, v)
+    except NoPathError:
+        return None
+    return res.path if res.outcome == "hamilton-path" else hamilton_uv_path(g, u, v)
+
+
 def test_engine_with_fallback_small_cases():
-    assert engine_with_fallback(complete_graph(2), 0, 1) == (0, 1)
+    assert engine_then_exact(complete_graph(2), 0, 1) == (0, 1)
     pet = petersen_graph()
     for u, v in [(0, 1), (0, 2), (3, 7)]:
-        got = engine_with_fallback(pet, u, v)
+        got = engine_then_exact(pet, u, v)
         want = hamilton_uv_path(pet, u, v)
         assert (got is None) == (want is None)
         if got is not None:
@@ -332,7 +339,7 @@ def test_engine_agrees_with_exact_oracle_n5():
         for g in enumerate_connected(n):
             for u in range(n):
                 for v in range(u + 1, n):
-                    got = engine_with_fallback(g, u, v)
+                    got = engine_then_exact(g, u, v)
                     want = hamilton_uv_path(g, u, v)
                     assert (got is None) == (want is None)
                     if got is not None:
@@ -355,11 +362,11 @@ def test_engine_on_join_exception_family(k):
         res = improve(g, u, v, k=k)
         assert res.outcome == "stalled"
         assert res.certificate is not None and res.certificate.kind == "join-witness"
-        assert engine_with_fallback(g, u, v) is None
+        assert engine_then_exact(g, u, v) is None
         assert hamilton_uv_path(g, u, v) is None
         # other pairs: the engine must agree with the exact search either way
         for u, v in [(0, 1), (0, k)]:
-            got = engine_with_fallback(g, u, v)
+            got = engine_then_exact(g, u, v)
             want = hamilton_uv_path(g, u, v)
             assert (got is None) == (want is None)
             if got is not None:
@@ -372,8 +379,8 @@ def test_join_witness_only_on_pairs_it_refutes():
     # so the graph-level witness must not refute it; a pair inside the
     # rest has none, and the witness refutes it by counting.
     g = from_graph6("G?~vnk")
-    w = exception_witness(g, 4)
-    assert w.independent_part == (0, 1, 2, 3)
+    kind, w = THEOREMS["main"].exception(g, 4)
+    assert kind == "join-witness" and w.independent_part == (0, 1, 2, 3)
     assert not w.refutes(g, 0, 1)
     assert hamilton_uv_path(g, 0, 1) is not None
     assert w.refutes(g, 4, 5)

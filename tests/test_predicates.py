@@ -16,7 +16,6 @@ from stgraphs.graphcore import (
     mask_of,
     path_graph,
     petersen_graph,
-    subset_connected,
 )
 from stgraphs.pathengine import validate_path
 from stgraphs import predicates
@@ -24,7 +23,6 @@ from stgraphs.predicates import (
     VACUOUS,
     _local_connectivity,
     _split_network,
-    exception_witness,
     hamilton_uv_path,
     independence_number,
     is_hamiltonian,
@@ -37,7 +35,7 @@ from stgraphs.predicates import (
     sparsest_induced_set,
     vertex_connectivity,
 )
-from stgraphs.verify import enumerate_connected
+from stgraphs.verify import THEOREMS, enumerate_connected
 
 
 def random_graph(rng, n, p=0.45):
@@ -198,7 +196,7 @@ def brute_connectivity(g):
     for size in range(g.n):
         for sep in combinations(range(g.n), size):
             rest = full & ~mask_of(sep)
-            if rest.bit_count() == 1 or not subset_connected(g.adj, rest):
+            if rest.bit_count() == 1 or len(component_masks(g.adj, rest)) > 1:
                 return size
 
 
@@ -448,20 +446,22 @@ def test_hamiltonian_connected_implies_hamiltonian():
 # -- join-exception witnesses --------------------------------------------------
 
 
+# the main theorem's exception: kK1 v G_k, read off its table entry (join=0)
+main_exception = THEOREMS["main"].exception
+
+
 def test_exception_witness_examples():
-    w = exception_witness(cycle_graph(4), 2)
-    assert w is not None and w.validate(cycle_graph(4))
+    kind, w = main_exception(cycle_graph(4), 2)
+    assert kind == "join-witness" and w.validate(cycle_graph(4))
     a, b = w.independent_part
     assert not cycle_graph(4).has_edge(a, b)
-    assert exception_witness(complete_graph(4), 2) is None
-    w3 = exception_witness(join(empty_graph(3), path_graph(3)), 3)
-    assert w3 is not None and w3.independent_part == (0, 1, 2)
-    with pytest.raises(ValueError):
-        exception_witness(cycle_graph(4), 0)
+    assert main_exception(complete_graph(4), 2) is None
+    _, w3 = main_exception(join(empty_graph(3), path_graph(3)), 3)
+    assert w3.independent_part == (0, 1, 2)
 
 
 def test_exception_witness_requires_matching_order():
-    assert exception_witness(cycle_graph(6), 2) is None
+    assert main_exception(cycle_graph(6), 2) is None
     assert join_witness(cycle_graph(6), 2) is None
     # no vertex has degree n - k >= n, so k <= 0 has no witness
     assert join_witness(cycle_graph(4), 0) is None
@@ -475,8 +475,8 @@ def test_exception_family_invariants(k):
     cores += [random_graph(rng, k) for _ in range(3)]
     for core in cores:
         g = join(empty_graph(k), core)
-        w = exception_witness(g, k)
-        assert w is not None and w.validate(g)
+        kind, w = main_exception(g, k)
+        assert kind == "join-witness" and w.validate(g)
         assert independence_number(g) == k
         assert vertex_connectivity(g) == k
         if k >= 2:
@@ -494,7 +494,7 @@ def test_join_witness_refutes_only_pairs_without_hamilton_path():
         for m in range(1 << len(core_edges)):
             core = Graph.from_edges(k, [e for i, e in enumerate(core_edges) if (m >> i) & 1])
             g = join(empty_graph(k), core)
-            w = exception_witness(g, k)
+            _, w = main_exception(g, k)
             for u, v in combinations(range(2 * k), 2):
                 if w.refutes(g, u, v):
                     refuted += 1

@@ -16,6 +16,7 @@ from stgraphs.graphcore import (
     canonical_form,
     canonical_label,
     complete_graph,
+    component_masks,
     cycle_graph,
     empty_graph,
     from_graph6,
@@ -24,7 +25,6 @@ from stgraphs.graphcore import (
     marked_label,
     mask_of,
     petersen_graph,
-    subset_connected,
     to_graph6,
 )
 from stgraphs import verify
@@ -95,7 +95,7 @@ def reference_ties(child):
     n = child.n
     z = n - 1
     full = (1 << n) - 1
-    deletable = [v for v in range(n) if subset_connected(child.adj, full & ~(1 << v))]
+    deletable = [v for v in range(n) if len(component_masks(child.adj, full & ~(1 << v))) < 2]
     by_deg = {}
     for v in range(n):
         by_deg.setdefault(child.degree(v), []).append(v)
