@@ -368,8 +368,11 @@ def _orbit_closure(mask: int, gens) -> int:
     return mask
 
 
-def _canonical_search(n: int, adj, start=None, gens=None):
-    """Minimum column-major adjacency code and a vertex order achieving it.
+def _canonical_search(n: int, adj, start=None):
+    """(code, order, automorphisms): the minimum column-major adjacency
+    code, a vertex order achieving it, and the image lists of the
+    within-cell transpositions of every uniform-module leaf, then of the
+    recorded automorphisms.
 
     The search starts from the degree partition, or from start, a pair
     (cell masks, splitter masks) that refines to the same partition as
@@ -377,15 +380,14 @@ def _canonical_search(n: int, adj, start=None, gens=None):
     cells.  It branches on the first non-singleton cell of each refined
     partition and skips a target vertex lying in the orbit of the tried
     ones under the recorded automorphisms that fix every cell of that
-    partition.  When gens is a list, the within-cell transpositions of
-    every uniform-module leaf and then the recorded automorphisms are
-    appended to it."""
+    partition."""
     if start is None:
         cells0 = _degree_cells(adj)
         start = cells0, cells0[:-1]
     width = n * (n - 1) // 2
     best_code = None
     best_order: tuple[int, ...] = ()
+    swaps: list[list[int]] = []
     autos: list[list[int]] = []
 
     def leaf(code, order):
@@ -423,11 +425,10 @@ def _canonical_search(n: int, adj, start=None, gens=None):
                 for v in cell:
                     code = (code << len(order)) | _column_bits(adj, order, v)
                     order.append(v)
-                if gens is not None:
-                    for a, b in zip(cell, cell[1:]):
-                        g = list(range(n))
-                        g[a], g[b] = b, a
-                        gens.append(g)
+                for a, b in zip(cell, cell[1:]):
+                    g = list(range(n))
+                    g[a], g[b] = b, a
+                    swaps.append(g)
             leaf(code, order)
             return
         target = cells[k]
@@ -457,21 +458,21 @@ def _canonical_search(n: int, adj, start=None, gens=None):
             tried |= bit
 
     dfs(*start)
-    if gens is not None:
-        gens.extend(autos)
-    return best_code, best_order
+    return best_code, best_order, swaps + autos
+
+
+def _label_bytes(n: int, code: int) -> bytes:
+    return bytes([n]) + code.to_bytes((n * (n - 1) // 2 + 7) // 8, "big")
 
 
 def canonical_label(g: Graph) -> bytes:
     """Label equal for two graphs iff they are isomorphic."""
-    code, _ = _canonical_search(g.n, g.adj)
-    width = g.n * (g.n - 1) // 2
-    return bytes([g.n]) + code.to_bytes((width + 7) // 8, "big")
+    return _label_bytes(g.n, _canonical_search(g.n, g.adj)[0])
 
 
 def canonical_form(g: Graph) -> Graph:
     """The canonically relabeled copy of g; equal for isomorphic inputs."""
-    _, order = _canonical_search(g.n, g.adj)
+    order = _canonical_search(g.n, g.adj)[1]
     pos = {v: i for i, v in enumerate(order)}
     rows = [0] * g.n
     for i, v in enumerate(order):
@@ -483,8 +484,7 @@ def canonical_form(g: Graph) -> Graph:
 def canonical_graph6(g: Graph) -> str:
     """to_graph6(canonical_form(g)), written straight from the canonical
     code: its column-major upper triangle is graph6's own bit order."""
-    code, _ = _canonical_search(g.n, g.adj)
-    return _graph6_of_code(g.n, code)
+    return _graph6_of_code(g.n, _canonical_search(g.n, g.adj)[0])
 
 
 def marked_label(g: Graph, v: int) -> bytes:
@@ -492,18 +492,14 @@ def marked_label(g: Graph, v: int) -> bytes:
     some automorphism maps one marked vertex to the other."""
     bit = 1 << v
     cells = [bit, g.full_mask() ^ bit] if g.n > 1 else [bit]
-    code, _ = _canonical_search(g.n, g.adj, (cells, cells))
-    width = g.n * (g.n - 1) // 2
-    return bytes([g.n]) + code.to_bytes((width + 7) // 8, "big")
+    return _label_bytes(g.n, _canonical_search(g.n, g.adj, (cells, cells))[0])
 
 
 def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
     """Automorphisms of g found by the canonical search, each as the image
     tuple of 0..n-1: one per leaf tying the best code, plus the
     within-cell transpositions of every uniform-module leaf."""
-    gens: list[list[int]] = []
-    _canonical_search(g.n, g.adj, gens=gens)
-    return [tuple(p) for p in gens]
+    return [tuple(p) for p in _canonical_search(g.n, g.adj)[2]]
 
 
 # -- graph6 codec ------------------------------------------------------

@@ -314,13 +314,14 @@ def _find_move(g: Graph, path: tuple[int, ...]):
 
 
 def _extract_certificate(g: Graph, path: tuple[int, ...], k: int | None):
-    exception = THEOREMS["main"].exception(g, k or g.n // 2)
+    main = THEOREMS["main"]
+    exception = main.exception(g, k or g.n // 2)
     if exception is not None and exception[1].refutes(g, path[0], path[-1]):
         return Certificate("join-witness", witness=exception[1])
     if k is not None:
-        # a (k+1)-set with at most one edge: G is not a [k+1,2]-graph
-        edges, sparse = sparsest_induced_set(g, k + 1, stop_below=2)
-        if edges <= 1:
+        # a (k+d)-set with fewer than t edges: G is not a [k+d,t]-graph
+        edges, sparse = sparsest_induced_set(g, k + main.d, stop_below=main.t)
+        if edges < main.t:
             return Certificate("sparse-set", vertices=tuple(bits(sparse)))
     return None
 

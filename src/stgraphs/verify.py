@@ -97,12 +97,12 @@ def _canonical_augmentation(parent: Graph, cuts, smask: int):
     child - v is connected iff smask - v meets every component of
     parent - v.  A non-cut v of child degree <= d always passes: smask
     is {v} only when d = 1, and then v has child degree 1 only when the
-    parent is {v}, where child - v is {z}.  So only cut vertices walk
-    their components.
+    parent is {v}, where child - v is {z}.  So one pass walks the
+    components of the cut vertices of degree <= d alone.
 
-    Orbit step.  A rival in a cell before z's rejects the child.  When
-    rivals are left in z's cell, the child's one canonical search
-    records automorphisms of the child: a rival in the orbit of z under
+    Orbit step.  A rival in a cell before z's rejects the child.  The
+    child's one canonical search returns automorphisms of the child;
+    when rivals are left in z's cell, a rival in the orbit of z under
     them has z's marked label and is dropped.  The marked-label
     comparison then runs only for the rivals left, which an incomplete
     generator set merely leaves more of; only it builds the child Graph.
@@ -124,14 +124,13 @@ def _canonical_augmentation(parent: Graph, cuts, smask: int):
         lower |= le[d - 2]
     if lower & ~cut:
         return None
-    for v in bits(lower):
-        if all(c & smask for c in comps[v]):
-            return None
     ties = (eq[d - 1] & smask) | (eq[d] & ~smask)
-    rivals = ties & ~cut
-    for v in bits(ties & cut):
+    rivals = ties & ~cut  # the deletable vertices of child degree <= d
+    for v in bits((lower | ties) & cut):
         if all(c & smask for c in comps[v]):
             rivals |= 1 << v
+    if rivals & lower:
+        return None
     zbit = 1 << m
     rows = [row | zbit if (smask >> v) & 1 else row for v, row in enumerate(parent.adj)]
     rows.append(smask)
@@ -151,11 +150,9 @@ def _canonical_augmentation(parent: Graph, cuts, smask: int):
     if rivals & before:
         return None
     rivals &= cz
-    if not rivals:
-        return _canonical_search(m + 1, rows, (cells, []))[0]
-    gens: list[list[int]] = []
-    code, _ = _canonical_search(m + 1, rows, (cells, []), gens)
-    rivals &= ~_orbit_closure(zbit, gens)
+    code, _, autos = _canonical_search(m + 1, rows, (cells, []))
+    if rivals:
+        rivals &= ~_orbit_closure(zbit, autos)
     if rivals:
         child = Graph._from_rows(m + 1, rows)
         lz = marked_label(child, m)

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import stgraphs
+from stgraphs import verify
 from stgraphs.cli import main
 from stgraphs.graphcore import canonical_label, cycle_graph, from_graph6, petersen_graph, to_graph6
 
@@ -66,6 +67,14 @@ def test_verify_main_exit_zero(capsys):
     assert "REPORT theorem=main k=2 nmax=5" in out
     assert "verified=true" in out
     assert out.count("EXCEPTION") == 2
+
+
+def test_verify_main_exit_one_on_counterexamples(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "is_hamiltonian_connected", lambda g: False)
+    code, out = run_cli(capsys, "verify", "main", "--k", "2", "--nmax", "6")
+    assert code == 1
+    assert "counterexamples=9 verified=false" in out
+    assert out.count("\nCOUNTEREXAMPLE ") == 9
 
 
 def test_verify_requires_k(capsys):
@@ -310,6 +319,24 @@ FIND_PATH_TRANSCRIPTS = [
         0,
         "move: F len 5->7\n"
         "hamilton-path: 3 1 6 0 5 2 4\n",
+    ),
+    (
+        # the moves stall short of a Hamilton path that the exact search finds
+        ("find-path", "FGM]g", "--u", "0", "--v", "2", "--trace"),
+        0,
+        "move: F len 5->6\n"
+        "stalled: longest path found 0 6 5 3 4 2\n"
+        "certificate: none\n"
+        "fallback hamilton-path: 0 5 4 3 6 1 2\n",
+    ),
+    (
+        # the same stall with k: the graph is no [3,2]-graph
+        ("find-path", "FGM]g", "--u", "0", "--v", "2", "--k", "2", "--trace"),
+        0,
+        "move: F len 5->6\n"
+        "stalled: longest path found 0 6 5 3 4 2\n"
+        "certificate: sparse-set [0, 1, 2]\n"
+        "fallback hamilton-path: 0 5 4 3 6 1 2\n",
     ),
 ]
 

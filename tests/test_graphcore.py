@@ -115,6 +115,10 @@ def test_graph_validation():
         Graph(1, [0b1])  # loop
     with pytest.raises(ValueError):
         Graph(65, [0] * 65)
+    with pytest.raises(ValueError, match="adjacency row count does not match vertex count"):
+        Graph(2, [0])
+    with pytest.raises(ValueError, match="row 0 mentions a vertex >= 2"):
+        Graph(2, [4, 0])
     with pytest.raises(ValueError):
         Graph.from_edges(3, [(0, 0)])
     with pytest.raises(ValueError):  # unpickling validates trusted rows too
@@ -502,7 +506,7 @@ def test_canonical_search_matches_unpruned_reference():
             if seed is not None:
                 masks = [graphcore.mask_of(c) for c in seed if c]
                 start = masks, masks
-            code, order = graphcore._canonical_search(g.n, g.adj, start)
+            code, order, _ = graphcore._canonical_search(g.n, g.adj, start)
             ref_code, ref_order = _reference_search(g.n, g.adj, seed)
             assert code == ref_code
             assert sorted(order) == list(range(g.n))

@@ -21,6 +21,7 @@ from stgraphs.pathengine import validate_path
 from stgraphs import predicates
 from stgraphs.predicates import (
     VACUOUS,
+    JoinWitness,
     _local_connectivity,
     _split_network,
     hamilton_uv_path,
@@ -140,6 +141,10 @@ def test_is_st_graph_examples():
     assert is_st_graph(complete_graph(4), 5, 1)  # vacuous: no induced order-5 subgraph
     assert is_st_graph(cycle_graph(5), 3, 0)
     assert is_st_graph(cycle_graph(3), 5, 0)  # t = 0 with s > n
+    with pytest.raises(ValueError, match="s must be at least 1"):
+        is_st_graph(complete_graph(3), 0, 1)
+    with pytest.raises(ValueError, match="t must be nonnegative"):
+        is_st_graph(complete_graph(3), 2, -1)
 
 
 # -- independence number -----------------------------------------------------
@@ -175,6 +180,8 @@ def test_vertex_connectivity_examples():
     assert vertex_connectivity(petersen_graph()) == 3
     assert vertex_connectivity(empty_graph(1)) == 0
     assert vertex_connectivity(path_graph(4)) == 1
+    with pytest.raises(ValueError, match="connectivity needs at least one vertex"):
+        vertex_connectivity(empty_graph(0))
 
 
 def test_petersen_kappa_cross_check_by_deletion():
@@ -458,6 +465,9 @@ def test_exception_witness_examples():
     assert main_exception(complete_graph(4), 2) is None
     _, w3 = main_exception(join(empty_graph(3), path_graph(3)), 3)
     assert w3.independent_part == (0, 1, 2)
+    # the parts must partition the vertices: overlapping or short parts fail
+    assert not JoinWitness((0,), (0, 1, 2)).validate(complete_graph(3))
+    assert not JoinWitness((0,), (1,)).validate(complete_graph(3))
 
 
 def test_exception_witness_requires_matching_order():
@@ -466,6 +476,8 @@ def test_exception_witness_requires_matching_order():
     # no vertex has degree n - k >= n, so k <= 0 has no witness
     assert join_witness(cycle_graph(4), 0) is None
     assert join_witness(cycle_graph(4), -1) is None
+    # k = n leaves no vertex for the other side of the join
+    assert join_witness(empty_graph(3), 3) is None
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])

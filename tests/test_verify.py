@@ -29,6 +29,7 @@ from stgraphs.graphcore import (
 )
 from stgraphs import verify
 from stgraphs.predicates import (
+    JoinWitness,
     independence_number,
     is_k_connected,
     is_petersen,
@@ -123,13 +124,14 @@ def is_automorphism(g, perm):
 
 
 def test_augmentation_matches_reference_definition(monkeypatch):
-    # the generator lists growth hands its child searches, one per call
+    # the automorphisms each child search returns, one list per call
     searches = []
     search = verify._canonical_search
 
-    def recording(n, adj, start=None, gens=None):
-        searches.append(gens)
-        return search(n, adj, start, gens)
+    def recording(n, adj, start=None):
+        found = search(n, adj, start)
+        searches.append(found[2])
+        return found
 
     monkeypatch.setattr(verify, "_canonical_search", recording)
     children = accepted = tie_breaks = orbit_settled = 0
@@ -146,13 +148,12 @@ def test_augmentation_matches_reference_definition(monkeypatch):
                     # the returned code is the child's label searched from scratch
                     assert got == search(child.n, child.adj)[0]
                 # one search per accepted child, and one per child that
-                # reaches the marked-label tie-break, recording generators
+                # reaches the marked-label tie-break
                 ties = reference_ties(child)
                 if ties:
-                    # the orbit step: recorded generators are automorphisms,
+                    # the orbit step: returned generators are automorphisms,
                     # and z's orbit under them shares z's marked label
                     [gens] = searches
-                    assert gens is not None
                     assert all(is_automorphism(child, g) for g in gens)
                     z = child.n - 1
                     orbit = verify._orbit_closure(1 << z, gens)
@@ -161,11 +162,34 @@ def test_augmentation_matches_reference_definition(monkeypatch):
                     tie_breaks += 1
                     orbit_settled += not mask_of(ties) & ~orbit
                 else:
-                    assert searches == ([] if got is None else [None])
+                    assert len(searches) == (got is not None)
                 children += 1
                 accepted += got is not None
     assert children == 7815 and 0 < accepted < children
     assert 0 < orbit_settled < tie_breaks
+
+
+def test_augmentation_rejects_deletable_cut_vertex_of_lower_degree():
+    # two K4s, each joined by one edge to vertex 8, a cut vertex of degree
+    # 2.  No parent of order <= 7 has a child whose only deletable vertex
+    # of degree below z's is a parent cut vertex; 48 masks here do
+    parent = from_graph6("H~?GW[P")
+    cuts = _parent_cuts(parent)
+    assert cuts[2] >> 8 & 1 and parent.degree(8) == 2
+    lower_cut_only = 0
+    for smask in range(1, 1 << 9):
+        rows = [parent.adj[v] | (((smask >> v) & 1) << 9) for v in range(9)]
+        child = Graph(10, rows + [smask])
+        got = _canonical_augmentation(parent, cuts, smask)
+        assert (got is not None) == reference_augmentation(child), to_graph6(child)
+        full = child.full_mask()
+        lower = [
+            v for v in range(9)
+            if child.degree(v) < child.degree(9)
+            and len(component_masks(child.adj, full & ~(1 << v))) == 1
+        ]
+        lower_cut_only += lower == [8]
+    assert lower_cut_only == 48
 
 
 def test_growth_search_counts_pinned(monkeypatch):
@@ -393,6 +417,19 @@ def test_verify_main_k2_exceptions():
     assert {g6 for g6, _ in report.exceptions} == expected
     assert all(kind == "join-witness" for _, kind in report.exceptions)
     assert revalidate_report(report)
+
+
+def test_verify_main_reports_counterexamples(monkeypatch):
+    # a conclusion that never holds: every hit that is no exception refutes
+    monkeypatch.setattr(verify, "is_hamiltonian_connected", lambda g: False)
+    report = verify_main_theorem(6, 2)
+    assert (report.hypothesis_hits, len(report.exceptions)) == (11, 2)
+    assert len(report.counterexamples) == 9
+    assert all(
+        to_graph6(canonical_form(from_graph6(g6))) == g6 for g6 in report.counterexamples
+    )
+    assert not report.verified
+    assert report.summary().startswith("REFUTED:")
 
 
 def test_verify_main_k3_exceptions_have_order_six():
@@ -709,12 +746,15 @@ def test_input_stream_skips_header_only_lines():
         read_graph6_lines([">>graph6<<", ">>graph6<<C"])
 
 
-def test_revalidate_rejects_certificates_the_scan_cannot_emit():
+def test_revalidate_rejects_certificates_the_scan_cannot_emit(monkeypatch):
     report = verify_main_theorem(6, 2)
     pet = to_graph6(canonical_form(petersen_graph()))
     c5 = to_graph6(canonical_form(cycle_graph(5)))
     for forged in (report.exceptions + ((pet, "petersen"),), ((c5, "join-witness"),)):
         assert not revalidate_report(replace(report, exceptions=forged))
+    # a recognizer whose witness does not split the graph fails revalidation
+    monkeypatch.setattr(verify, "join_witness", lambda g, k: JoinWitness((0,), (0,)))
+    assert not revalidate_report(report)
 
 
 def test_input_stream_names_malformed_line():
