@@ -258,7 +258,11 @@ def is_connected(g: Graph) -> bool:
 # Automorphism pruning.  Two leaves with equal codes give the same
 # relabeled graph, so best_order[i] -> order[i] is an automorphism; the
 # search records one at every leaf (discrete or uniform-module) that ties
-# the best code.  At a branching node, an automorphism g mapping every
+# the best code, then returns to the two leaves' deepest common ancestor
+# (McKay 1981).  A leaf determines its path, so the automorphism fixes
+# that node and maps its child toward the best leaf, whose subtree is
+# done, onto the tied leaf's branch: the rest of that branch can only
+# tie.  At a branching node, an automorphism g mapping every
 # cell of the node's refined partition onto itself maps the subtree of
 # child v onto the subtree of child g(v) with the same codes: refinement
 # is relabeling-invariant and its cells depend only on cell sets.  Once v
@@ -380,25 +384,35 @@ def _canonical_search(n: int, adj, start=None):
     cells.  It branches on the first non-singleton cell of each refined
     partition and skips a target vertex lying in the orbit of the tried
     ones under the recorded automorphisms that fix every cell of that
-    partition."""
+    partition.  A leaf tying the best code abandons its branch up to the
+    deepest common ancestor with the best leaf."""
     if start is None:
         cells0 = _degree_cells(adj)
         start = cells0, cells0[:-1]
     width = n * (n - 1) // 2
     best_code = None
     best_order: tuple[int, ...] = ()
+    best_path: tuple[int, ...] = ()
+    path: list[int] = []  # the vertices individualized above the current node
     swaps: list[list[int]] = []
     autos: list[list[int]] = []
 
+    # leaf and dfs return the depth the search resumes at: n, or on a
+    # tie the depth of the deepest common ancestor with the best leaf
     def leaf(code, order):
-        nonlocal best_code, best_order
+        nonlocal best_code, best_order, best_path
         if best_code is None or code < best_code:
-            best_code, best_order = code, tuple(order)
+            best_code, best_order, best_path = code, tuple(order), tuple(path)
         elif code == best_code:
             g = [0] * n
             for a, b in zip(best_order, order):
                 g[a] = b
             autos.append(g)
+            d = 0
+            while path[d] == best_path[d]:
+                d += 1
+            return d
+        return n
 
     def dfs(cells, splitters):
         cells = _refine_split(adj, cells, splitters)
@@ -415,10 +429,9 @@ def _canonical_search(n: int, adj, start=None):
         if best_code is not None and k >= 2:
             t = k * (k - 1) // 2
             if code > (best_code >> (width - t)):
-                return
+                return n
         if k == n:
-            leaf(code, order)
-            return
+            return leaf(code, order)
         if _uniform_modules(adj, cells):
             for c in cells[k:]:
                 cell = list(bits(c))
@@ -429,14 +442,14 @@ def _canonical_search(n: int, adj, start=None):
                     g = list(range(n))
                     g[a], g[b] = b, a
                     swaps.append(g)
-            leaf(code, order)
-            return
+            return leaf(code, order)
         target = cells[k]
         head, tail = cells[:k], cells[k + 1:]
         cell_of = None
         fixing: list[list[int]] = []
         checked = 0
         tried = 0
+        depth = len(path)
         for v in bits(target):
             if tried:
                 if checked < len(autos):
@@ -454,8 +467,13 @@ def _canonical_search(n: int, adj, start=None):
                     if (tried >> v) & 1:
                         continue
             bit = 1 << v
-            dfs(head + [bit, target ^ bit] + tail, [bit])
+            path.append(v)
+            back = dfs(head + [bit, target ^ bit] + tail, [bit])
+            path.pop()
+            if back < depth:
+                return back
             tried |= bit
+        return n
 
     dfs(*start)
     return best_code, best_order, swaps + autos
@@ -490,6 +508,8 @@ def canonical_graph6(g: Graph) -> str:
 def marked_label(g: Graph, v: int) -> bytes:
     """Canonical label of g with vertex v individualized; equal labels iff
     some automorphism maps one marked vertex to the other."""
+    if not 0 <= v < g.n:
+        raise ValueError("vertex out of range")
     bit = 1 << v
     cells = [bit, g.full_mask() ^ bit] if g.n > 1 else [bit]
     return _label_bytes(g.n, _canonical_search(g.n, g.adj, (cells, cells))[0])

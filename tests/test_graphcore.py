@@ -312,6 +312,45 @@ def test_labeling_golden_digest():
     assert h.hexdigest() == "6ad5900e2849931d5590cbacb5e25459cf741c2d9c0fac240efe4ef553a79a20"
 
 
+# canonical_graph6 of the large symmetric families, taken before the
+# search jumped back to the common ancestor on a tied leaf
+SYMMETRIC_CANONICAL_GRAPH6 = {
+    "petersen": "I?LRCecq?",
+    "Q4": "O?????NKqiLGd_i_X_F_?",
+    "Q5": "_?????????????????????@{?woEQ_Ic_EcOEAW@Od?ECc?QOo?S`O?K_o?CQo??ci??Aco??EM???Fo????",
+    "C24": "W????????????B?D?D?A_?g?D??S??g??g??S??D???W???",
+    "K8,8": "O????B~~v}^w~o~o^wF}?",
+}
+
+
+def test_symmetric_families_label_alike_under_relabeling():
+    families = {
+        "petersen": petersen_graph(),
+        "Q4": hypercube(4),
+        "Q5": hypercube(5),
+        "C24": cycle_graph(24),
+        "K8,8": join(empty_graph(8), empty_graph(8)),
+    }
+    rng = random.Random(1981)
+    labels = set()
+    for name, g in families.items():
+        copies = [relabeled(g, rng) for _ in range(20)]
+        copy_labels = {canonical_label(r) for r in copies}
+        assert len(copy_labels) == 1, name
+        assert {canonical_graph6(r) for r in copies} == {SYMMETRIC_CANONICAL_GRAPH6[name]}
+        labels |= copy_labels
+    assert len(labels) == 5
+
+
+def test_marked_label_rejects_vertices_out_of_range():
+    g = cycle_graph(5)
+    for v in (-1, 5, 64):
+        with pytest.raises(ValueError, match="vertex out of range"):
+            marked_label(g, v)
+    with pytest.raises(ValueError, match="vertex out of range"):
+        marked_label(empty_graph(0), 0)
+
+
 def reference_refine(adj, cells):
     """Equitable refinement counting, every round, neighbors into every
     cell of the partition: the definition the splitter kernel shortcuts."""
@@ -499,6 +538,8 @@ def test_canonical_search_matches_unpruned_reference():
     rng = random.Random(1998)
     graphs = [relabeled(g, rng) for n in range(1, 8) for g in enumerate_connected(n)]
     graphs += [relabeled(hypercube(4), rng), relabeled(petersen_graph(), rng)]
+    # ties, hence jumps back to the common ancestor, are frequent on these
+    graphs += [relabeled(cycle_graph(12), rng), relabeled(join(empty_graph(3), empty_graph(3)), rng)]
     for g in graphs:
         seeds = [None] + [[[v], [w for w in range(g.n) if w != v]] for v in range(g.n)]
         for seed in seeds:
@@ -513,17 +554,9 @@ def test_canonical_search_matches_unpruned_reference():
             assert _relabeled_rows(g.adj, order) == _relabeled_rows(g.adj, ref_order)
 
 
-@pytest.mark.parametrize(
-    "g, cap, exact",
-    [(hypercube(5), 1000, [76, 71]), (petersen_graph(), 60, [21, 19])],
-    ids=["Q5", "petersen"],
-)
-def test_canonical_search_size_is_pruned(monkeypatch, g, cap, exact):
-    # without pruning Q5 takes 6,113 refinements and Petersen 191; every
-    # search node runs the refinement kernel once.  The exact counts pin
-    # the orbit pruning to the recorded automorphisms that fix every cell
-    # of the partition; pruning with every recorded automorphism, which
-    # is unsound, searches fewer nodes
+def _refinements(monkeypatch, g):
+    """Number of refinement kernel calls, one per search node, that
+    canonical_label(g) makes."""
     calls = []
     refine = graphcore._refine_split
 
@@ -531,15 +564,33 @@ def test_canonical_search_size_is_pruned(monkeypatch, g, cap, exact):
         calls.append(1)
         return refine(adj, cells, splitters)
 
-    monkeypatch.setattr(graphcore, "_refine_split", counting)
+    with monkeypatch.context() as m:
+        m.setattr(graphcore, "_refine_split", counting)
+        canonical_label(g)
+    return len(calls)
+
+
+@pytest.mark.parametrize(
+    "g, cap, exact",
+    [(hypercube(5), 20, [15, 19]), (petersen_graph(), 12, [12, 10])],
+    ids=["Q5", "petersen"],
+)
+def test_canonical_search_size_is_pruned(monkeypatch, g, cap, exact):
+    # without pruning Q5 takes 6,113 refinements and Petersen 191, and
+    # without the jump back to the common ancestor on a tied leaf
+    # [76, 71] and [21, 19].  The exact counts pin the orbit pruning and
+    # the jump
     rng = random.Random(32)
-    counts = []
-    for _ in range(2):
-        calls.clear()
-        canonical_label(relabeled(g, rng))
-        assert 0 < len(calls) <= cap
-        counts.append(len(calls))
+    counts = [_refinements(monkeypatch, relabeled(g, rng)) for _ in range(2)]
+    assert all(0 < c <= cap for c in counts)
     assert counts == exact
+
+
+def test_orbit_pruning_uses_only_cell_fixing_automorphisms(monkeypatch):
+    # on this graph a later node's orbit check meets a recorded
+    # automorphism that moves one of its cells; pruning with every
+    # recorded automorphism, which is unsound, searches 18 nodes
+    assert _refinements(monkeypatch, from_graph6("Gien`w")) == 19
 
 
 def is_automorphism(g, perm):
@@ -579,14 +630,29 @@ def test_automorphism_generators_generate_the_group():
     rng = random.Random(1998)
     graphs = [relabeled(g, rng) for n in range(1, 7) for g in enumerate_connected(n)]
     graphs += [empty_graph(n) for n in range(1, 7)] + [join(empty_graph(3), empty_graph(3))]
+    # order-7 graphs that lose half their group when a tied leaf jumps past
+    # the common ancestor to the root
+    graphs += [from_graph6(s) for s in ("F?Kvw", "F_Kvw", "FFz~o", "FNz~o")]
     for g in graphs:
         brute = {p for p in permutations(range(g.n)) if is_automorphism(g, p)}
         group = generated_group(automorphism_generators(g), g.n)
         assert group == brute, to_graph6(g)
-    for g in (petersen_graph(), hypercube(4)):
-        g = relabeled(g, rng)
-        gens = automorphism_generators(g)
-        assert len(generated_group(gens, g.n)) == (120 if g.n == 10 else 384)
+    # symmetric graphs, where most branches end in a tied leaf, by the
+    # orders of their automorphism groups
+    orders = [
+        (hypercube(5), 3840),
+        (join(empty_graph(4), empty_graph(4)), 1152),
+        (cycle_graph(12), 24),
+        (cycle_graph(24), 48),
+        (hypercube(4), 384),
+        (petersen_graph(), 120),
+    ]
+    for g, order in orders:
+        for _ in range(3):
+            r = relabeled(g, rng)
+            gens = automorphism_generators(r)
+            assert all(is_automorphism(r, p) for p in gens)
+            assert len(generated_group(gens, r.n)) == order, (to_graph6(r), order)
 
 
 # -- graph6 ------------------------------------------------------------------
