@@ -1,11 +1,12 @@
 """Exhaustive small-graph enumeration and the theorem verification harness.
 
 Connected graphs are generated one representative per isomorphism class
-by canonical vertex augmentation: a new vertex is attached to one
-neighbor set per orbit of the parent's automorphism group, the child is
-kept only when the new vertex lies in the canonical deletion orbit of
-the child, and children of one parent are deduplicated by canonical
-graph6.  The brute-force oracle that checks the generator shares only
+by canonical vertex augmentation: a new vertex is attached to each
+neighbor set that no generator of the parent's automorphism group maps
+to a smaller set (each orbit's least set among them), the child is kept
+only when the new vertex lies in the canonical deletion orbit of the
+child, and children of one parent are deduplicated by canonical graph6.
+The brute-force oracle that checks the generator shares only
 the canonical label with it: it labels the connected labeled graphs
 whose degrees are non-decreasing in vertex order, which is exact because
 sorting the vertices by degree gives every isomorphism class such a
@@ -23,6 +24,7 @@ from itertools import accumulate
 from operator import or_
 
 from .graphcore import (
+    GRAPH6_HEADER,
     Graph,
     Graph6Error,
     _canonical_search,
@@ -161,58 +163,43 @@ def _canonical_augmentation(parent: Graph, cuts, smask: int):
     return code
 
 
-def _mask_tables(perm):
-    """Vertex-mask images under the permutation perm as two tables, so that
-    the image of mask s is lo[s & 31] | hi[s >> 5]."""
-
-    def table(offset: int, count: int) -> list[int]:
-        t = [0] * (1 << count)
-        for s in range(1, 1 << count):
-            b = s & -s
-            t[s] = t[s ^ b] | (1 << perm[offset + b.bit_length() - 1])
-        return t
-
-    n = len(perm)
-    return table(0, min(n, 5)), table(5, max(n - 5, 0))
-
-
-def _mark_orbit(seen: bytearray, smask: int, tables) -> None:
-    """Set seen[s] for every s in the orbit of smask under the group the
-    permutations of tables (see _mask_tables) generate."""
-    seen[smask] = 1
-    stack = [smask]
-    while stack:
-        x = stack.pop()
-        lo_i, hi_i = x & 31, x >> 5
-        for lo, hi in tables:
-            y = lo[lo_i] | hi[hi_i]
-            if not seen[y]:
-                seen[y] = 1
-                stack.append(y)
+def _mask_table(perm) -> list[int]:
+    """The image of every vertex mask s under the permutation perm, at index s."""
+    t = [0] * (1 << len(perm))
+    for s in range(1, len(t)):
+        b = s & -s
+        t[s] = t[s ^ b] | (1 << perm[b.bit_length() - 1])
+    return t
 
 
 def _grow_level(parents: tuple[str, ...]) -> tuple[str, ...]:
     """Accepted children of every parent, each parent's sorted by label.
 
-    Attachment masks are tried in ascending order, one per orbit of the
-    parent's automorphism group: a mask g(S) with g an automorphism gives
-    a child isomorphic to S's with z fixed, so the same acceptance and
-    the same label.  Each mask passes the parent's degree and cut masks,
-    then at most one canonical search of the child, then the marked-label
-    fallback (see _canonical_augmentation); an accepted child's graph6
-    is written from the code that search returned."""
+    Attachment masks are tried in ascending order, skipping every mask
+    that a generator of the parent's automorphism group maps to a smaller
+    one.  A generator maps an orbit onto itself, so no orbit's least mask
+    is skipped.  A mask g(S), g an automorphism, gives a child isomorphic
+    to S's with z fixed, so the same acceptance and the same label; the
+    children set drops the repeats that the other masks tried give.  Each
+    mask passes the parent's degree and cut masks, then at most one
+    canonical search of the child, then the marked-label fallback (see
+    _canonical_augmentation); an accepted child's graph6 is written from
+    the code that search returned."""
     out: list[str] = []
     for parent_g6 in parents:
         parent = from_graph6(parent_g6)
         n = parent.n + 1
         cuts = _parent_cuts(parent)
-        tables = [_mask_tables(g) for g in automorphism_generators(parent)]
-        seen = bytearray(1 << parent.n)
+        lower = {
+            s
+            for perm in automorphism_generators(parent)
+            for s, image in enumerate(_mask_table(perm))
+            if image < s
+        }
         children: set[str] = set()
         for smask in range(1, 1 << parent.n):
-            if seen[smask]:
+            if smask in lower:
                 continue
-            _mark_orbit(seen, smask, tables)
             code = _canonical_augmentation(parent, cuts, smask)
             if code is not None:
                 children.add(_graph6_of_code(n, code))
@@ -293,7 +280,7 @@ def read_graph6_lines(lines):
     out = []
     for lineno, line in enumerate(lines, 1):
         line = line.strip()
-        if not line or line == ">>graph6<<":
+        if not line or line == GRAPH6_HEADER:
             continue
         try:
             out.append(from_graph6(line))

@@ -1,9 +1,11 @@
 import hashlib
 import random
+from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import comb, factorial
+from math import comb, factorial, gcd, prod
 
 import pytest
 
@@ -42,8 +44,8 @@ from stgraphs.verify import (
     _canonical_augmentation,
     _judge_edge_bound,
     _connected_level,
-    _mark_orbit,
-    _mask_tables,
+    _grow_level,
+    _mask_table,
     _parent_cuts,
     _worker_count,
     brute_force_connected,
@@ -195,7 +197,10 @@ def test_augmentation_rejects_deletable_cut_vertex_of_lower_degree():
 def test_growth_search_counts_pinned(monkeypatch):
     """Growing levels 2..8 searches each accepted child once, plus each
     child the marked-label fallback rejects; the orbit step leaves the
-    fallback few rivals, yet it still rejects some children."""
+    fallback few rivals, yet it still rejects some children.  A mask that
+    is not the least of its orbit is tried when no generator maps it
+    lower; its child is accepted again and deduplicated, so 26 of the
+    12,138 accepted children are repeats of the 12,112 grown."""
     counts = dict.fromkeys(("marked", "searches", "accepted", "fallback_rejects"), 0)
     marked, search, augment = (
         verify.marked_label, verify._canonical_search, verify._canonical_augmentation
@@ -228,7 +233,7 @@ def test_growth_search_counts_pinned(monkeypatch):
     )
     verify._connected_level(8)
     assert counts == {
-        "marked": 134, "searches": 12136, "accepted": 12112, "fallback_rejects": 24,
+        "marked": 134, "searches": 12162, "accepted": 12138, "fallback_rejects": 24,
     }
     assert counts["searches"] == counts["accepted"] + counts["fallback_rejects"]
 
@@ -242,35 +247,67 @@ def permute_mask_by_bits(perm, mask):
 
 
 def test_mask_tables_match_bit_loop():
+    assert _mask_table([]) == [0]
     rng = random.Random(9)
     for n in list(range(1, 10)) + [9] * 5:
         perm = list(range(n))
         rng.shuffle(perm)
-        lo, hi = _mask_tables(perm)
+        table = _mask_table(perm)
         for mask in range(1 << n):
-            assert lo[mask & 31] | hi[mask >> 5] == permute_mask_by_bits(perm, mask)
+            assert table[mask] == permute_mask_by_bits(perm, mask)
 
 
-def test_mask_orbits_match_brute_force_group():
-    # the orbits growth tries one mask of: marked through the generators'
-    # tables, counted against the orbits of the brute-force group
+def test_mask_orbits_match_brute_force_group(monkeypatch):
+    # growth tries the least mask of every orbit of the brute-force group,
+    # and, over the parents of order <= 6, only 7 masks besides
+    tried = []
+    augment = verify._canonical_augmentation
+
+    def recording(parent, cuts, smask):
+        tried.append(smask)
+        return augment(parent, cuts, smask)
+
+    monkeypatch.setattr(verify, "_canonical_augmentation", recording)
+    extra = 0
     for n in range(1, 7):
         for g in enumerate_connected(n):
             group = [
                 p for p in permutations(range(n))
                 if all(permute_mask_by_bits(p, g.adj[v]) == g.adj[p[v]] for v in range(n))
             ]
-            brute = {
+            least = {
                 min(permute_mask_by_bits(p, mask) for p in group) for mask in range(1, 1 << n)
             }
-            tables = [_mask_tables(p) for p in automorphism_generators(g)]
-            seen = bytearray(1 << n)
-            tried = 0
-            for mask in range(1, 1 << n):
-                if not seen[mask]:
-                    _mark_orbit(seen, mask, tables)
-                    tried += 1
-            assert tried == len(brute), to_graph6(g)
+            tried.clear()
+            _grow_level((to_graph6(g),))
+            assert least <= set(tried), to_graph6(g)
+            extra += len(tried) - len(least)
+    assert extra == 7
+
+
+def test_grow_level_drops_repeated_children(monkeypatch):
+    # DLo is the smallest parent with a tried mask whose child repeats
+    # another tried mask's: 4 children accepted, 3 distinct
+    parent = from_graph6("DLo")
+    cuts = _parent_cuts(parent)
+    every = set()
+    for smask in range(1, 1 << parent.n):
+        code = _canonical_augmentation(parent, cuts, smask)
+        if code is not None:
+            every.add(verify._graph6_of_code(parent.n + 1, code))
+    accepted = []
+    augment = verify._canonical_augmentation
+
+    def recording(*args):
+        got = augment(*args)
+        if got is not None:
+            accepted.append(got)
+        return got
+
+    monkeypatch.setattr(verify, "_canonical_augmentation", recording)
+    level = _grow_level(("DLo",))
+    assert len(set(level)) == len(level) == len(accepted) - 1
+    assert level == tuple(sorted(every))
 
 
 def test_connected_levels_golden_digest():
@@ -344,6 +381,53 @@ def test_mass_formula_matches_labeled_connected_counts():
 def test_mass_formula_order_nine():
     assert labeled_connected_counts(9)[9] == 66296291072
     assert labeled_mass(9) == 66296291072
+
+
+def partitions(n, largest=None):
+    """The partitions of n, each as a non-increasing tuple."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in partitions(n - part, part):
+            yield (part,) + rest
+
+
+def unlabeled_connected_counts(n_max):
+    """A001349 by Polya counting.  Burnside's lemma over S_n acting on
+    vertex pairs counts the graphs of order n: a permutation of cycle
+    type lambda has sum floor(l_i/2) + sum_{i<j} gcd(l_i, l_j) pair
+    cycles, and n!/z_lambda of the n! permutations have that type.  The
+    inverse Euler transform of those counts gives the connected ones."""
+    graphs = [1]
+    for n in range(1, n_max + 1):
+        total = Fraction(0)
+        for lam in partitions(n):
+            cycles = sum(l // 2 for l in lam) + sum(gcd(a, b) for a, b in combinations(lam, 2))
+            z = prod(l**m * factorial(m) for l, m in Counter(lam).items())
+            total += Fraction(2**cycles, z)
+        assert total.denominator == 1
+        graphs.append(total.numerator)
+    # 1 + sum g_n x^n = prod_k (1 - x^k)^(-c_k), so n g_n is the sum of
+    # s_k g_{n-k} over k = 1..n, with s_k the sum of d c_d over d | k
+    s, connected = {}, {}
+    for n in range(1, n_max + 1):
+        s[n] = n * graphs[n] - sum(s[k] * graphs[n - k] for k in range(1, n))
+        rest = s[n] - sum(d * connected[d] for d in range(1, n) if n % d == 0)
+        assert rest % n == 0
+        connected[n] = rest // n
+    return connected
+
+
+def test_polya_counts_match_generated_levels():
+    counts = unlabeled_connected_counts(8)
+    for n in range(1, 9):
+        assert len(_connected_level(n)) == counts[n], n
+
+
+@pytest.mark.slow
+def test_polya_count_order_nine():
+    assert len(_connected_level(9)) == unlabeled_connected_counts(9)[9]
 
 
 def test_brute_force_examples():
