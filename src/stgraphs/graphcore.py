@@ -262,16 +262,22 @@ def is_connected(g: Graph) -> bool:
 # (McKay 1981).  A leaf determines its path, so the automorphism fixes
 # that node and maps its child toward the best leaf, whose subtree is
 # done, onto the tied leaf's branch: the rest of that branch can only
-# tie.  At a branching node, an automorphism g mapping every
-# cell of the node's refined partition onto itself maps the subtree of
-# child v onto the subtree of child g(v) with the same codes: refinement
-# is relabeling-invariant and its cells depend only on cell sets.  Once v
-# is tried, every target vertex in the orbit of the tried ones under such
-# automorphisms is skipped.  The minimum code is unchanged, hence so are
-# canonical_label and canonical_form (its rows follow from the code), and
-# marked_label is pruned through its seed cells.  automorphism_generators
-# exports the recorded automorphisms together with the within-cell
-# transpositions of every uniform-module leaf.
+# tie.  At a branching node, an automorphism g mapping every cell of the
+# node's refined partition onto itself maps the subtree of child v onto
+# the subtree of child g(v) with the same codes: refinement is
+# relabeling-invariant and its cells depend only on cell sets.  A
+# recorded g does that iff it fixes every vertex on the node's path (the
+# vertices individualized above it): g maps the best leaf to a tied one,
+# both list the start cells in the same positions, so g maps each start
+# cell onto itself and commutes with refinement and individualization,
+# and the path's vertices are singleton cells.  Once v is tried, every
+# target vertex in the orbit of the tried ones under the recorded
+# automorphisms fixing the path is skipped.  The minimum code is
+# unchanged, hence so are canonical_label and canonical_form (its rows
+# follow from the code), and marked_label is pruned through its seed
+# cells.  automorphism_generators exports the recorded automorphisms
+# together with the within-cell transpositions of every uniform-module
+# leaf.
 
 
 def _refine_split(adj, cells, splitters):
@@ -383,9 +389,11 @@ def _canonical_search(n: int, adj, start=None):
     the degree partition does, or that seeds the search with marked
     cells.  It branches on the first non-singleton cell of each refined
     partition and skips a target vertex lying in the orbit of the tried
-    ones under the recorded automorphisms that fix every cell of that
-    partition.  A leaf tying the best code abandons its branch up to the
-    deepest common ancestor with the best leaf."""
+    ones under the recorded automorphisms that fix every vertex on the
+    path to the node; those are the ones that fix every cell of its
+    partition (see Automorphism pruning above).  A leaf tying the best
+    code abandons its branch up to the deepest common ancestor with the
+    best leaf."""
     if start is None:
         cells0 = _degree_cells(adj)
         start = cells0, cells0[:-1]
@@ -445,27 +453,14 @@ def _canonical_search(n: int, adj, start=None):
             return leaf(code, order)
         target = cells[k]
         head, tail = cells[:k], cells[k + 1:]
-        cell_of = None
-        fixing: list[list[int]] = []
-        checked = 0
         tried = 0
         depth = len(path)
         for v in bits(target):
             if tried:
-                if checked < len(autos):
-                    if cell_of is None:
-                        cell_of = [0] * n
-                        for i, c in enumerate(cells):
-                            for u in bits(c):
-                                cell_of[u] = i
-                    for g in autos[checked:]:
-                        if [cell_of[x] for x in g] == cell_of:
-                            fixing.append(g)
-                    checked = len(autos)
-                if fixing:
-                    tried = _orbit_closure(tried, fixing)
-                    if (tried >> v) & 1:
-                        continue
+                stab = [g for g in autos if all(g[x] == x for x in path)]
+                tried = _orbit_closure(tried, stab)
+                if (tried >> v) & 1:
+                    continue
             bit = 1 << v
             path.append(v)
             back = dfs(head + [bit, target ^ bit] + tail, [bit])

@@ -256,8 +256,6 @@ def is_k_connected(g: Graph, k: int) -> bool:
     if k <= 0:
         return True
     adj = g.adj
-    if min(row.bit_count() for row in adj) < k:
-        return False
     full = (1 << n) - 1
     split = _split_network(adj, n)
     for i in range(k):

@@ -28,6 +28,7 @@ from .graphcore import (
     Graph,
     Graph6Error,
     _canonical_search,
+    _degree_cells,
     _graph6_of_code,
     _orbit_closure,
     _refine_split,
@@ -109,10 +110,7 @@ def _canonical_augmentation(parent: Graph, cuts, smask: int):
     comparison then runs only for the rivals left, which an incomplete
     generator set merely leaves more of; only it builds the child Graph.
 
-    The child's degree partition comes from cuts too: child degree j
-    holds the parent vertices of degree j outside smask and of degree
-    j - 1 in it, and z joins cell d.  The child is always refined from
-    that partition, and its code is that of a search from the refined
+    The child's code is that of a search from its refined degree
     partition with no splitters: the partition a search from the degree
     partition refines to at its root.  So each accepted child is
     searched exactly once, and a child rejected at the marked-label
@@ -136,13 +134,7 @@ def _canonical_augmentation(parent: Graph, cuts, smask: int):
     zbit = 1 << m
     rows = [row | zbit if (smask >> v) & 1 else row for v, row in enumerate(parent.adj)]
     rows.append(smask)
-    cells = []  # the child's degree cells, ascending (see above)
-    for j in range(1, m + 1):
-        c = (eq[j] & ~smask) | (eq[j - 1] & smask)
-        if j == d:
-            c |= zbit
-        if c:
-            cells.append(c)
+    cells = _degree_cells(rows)
     cells = _refine_split(rows, cells, cells[:-1])
     before = 0
     for cz in cells:

@@ -593,6 +593,35 @@ def test_orbit_pruning_uses_only_cell_fixing_automorphisms(monkeypatch):
     assert _refinements(monkeypatch, from_graph6("Gien`w")) == 19
 
 
+def test_search_size_over_corpus_pinned(monkeypatch):
+    # every connected graph with n <= 7, relabeled, searched from the degree
+    # partition and with each vertex marked: the refinements (one per
+    # search node) and the automorphisms returned, summed.  Pruning with no
+    # automorphism gives (11293, 9711).  Pruning with every recorded one
+    # searches the same nodes on the n <= 7 graphs, so the corpus adds
+    # Gien`w (see the test above), where it gives (10863, 9183)
+    rng = random.Random(1981)
+    graphs = [relabeled(g, rng) for n in range(1, 8) for g in enumerate_connected(n)]
+    graphs.append(from_graph6("Gien`w"))
+    calls = []
+    refine = graphcore._refine_split
+
+    def counting(adj, cells, splitters):
+        calls.append(1)
+        return refine(adj, cells, splitters)
+
+    monkeypatch.setattr(graphcore, "_refine_split", counting)
+    autos = 0
+    for g in graphs:
+        starts = [None]
+        for v in range(g.n):
+            cells = [1 << v, g.full_mask() ^ (1 << v)] if g.n > 1 else [1 << v]
+            starts.append((cells, cells))
+        for start in starts:
+            autos += len(graphcore._canonical_search(g.n, g.adj, start)[2])
+    assert (len(calls), autos) == (10864, 9183)
+
+
 def is_automorphism(g, perm):
     return sorted(perm) == list(range(g.n)) and all(
         sum(1 << perm[u] for u in bits(g.adj[v])) == g.adj[perm[v]] for v in range(g.n)
