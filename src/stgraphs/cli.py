@@ -138,8 +138,8 @@ def _cmd_min_size(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    for g6 in verify.connected_graph6(args.n):
-        print(g6)
+    for siblings in verify._sibling_lists(args.n):
+        sys.stdout.write("".join(g6 + "\n" for g6 in siblings))
     return 0
 
 

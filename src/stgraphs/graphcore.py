@@ -453,11 +453,12 @@ def _canonical_search(n: int, adj, start=None):
             return leaf(code, order)
         target = cells[k]
         head, tail = cells[:k], cells[k + 1:]
-        tried = 0
+        tried, seen, stab = 0, 0, []  # stab: the autos[:seen] fixing each vertex on path
         depth = len(path)
         for v in bits(target):
             if tried:
-                stab = [g for g in autos if all(g[x] == x for x in path)]
+                stab += [g for g in autos[seen:] if all(g[x] == x for x in path)]
+                seen = len(autos)
                 tried = _orbit_closure(tried, stab)
                 if (tried >> v) & 1:
                     continue

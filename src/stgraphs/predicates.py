@@ -294,9 +294,7 @@ def _reach_and_degree_ok(adj, full, cur, used, vbit) -> bool:
             t ^= b
             if (adj[b.bit_length() - 1] & avail).bit_count() < 2:
                 return False
-    if not (adj[vbit.bit_length() - 1] & (unused | (1 << cur)) & ~vbit):
-        return False
-    return True
+    return adj[vbit.bit_length() - 1] & (unused | (1 << cur)) & ~vbit != 0
 
 
 def _hamilton_path(adj, n: int, u: int, v: int) -> tuple[int, ...] | None:
@@ -322,9 +320,7 @@ def _hamilton_path(adj, n: int, u: int, v: int) -> tuple[int, ...] | None:
             path.pop()
         return False
 
-    if dfs(u, 1 << u):
-        return tuple(path)
-    return None
+    return tuple(path) if dfs(u, 1 << u) else None
 
 
 def hamilton_uv_path(g: Graph, u: int, v: int) -> tuple[int, ...] | None:
@@ -360,9 +356,9 @@ def is_hamiltonian_connected(g: Graph) -> bool:
     Decided by a rotation cover over exact searches.  Pairs are walked
     in order of degree sum, and `hamilton_uv_path` runs only on a pair
     no earlier path covers; the first pair without a path decides False.
-    Each path found is closed under Posa rotations at both ends: if
-    p_0 ~ p_i in the Hamilton path p_0 .. p_last, then
-    p_{i-1} .. p_0 p_i .. p_last uses the edge p_0 p_i in place of
+    Each path found is closed under Posa rotations at both ends until
+    every pair is covered: if p_0 ~ p_i in the Hamilton path p_0 .. p_last,
+    then p_{i-1} .. p_0 p_i .. p_last uses the edge p_0 p_i in place of
     p_{i-1} p_i, keeps every vertex once and every step an edge, so it
     is again a Hamilton path, now from p_{i-1}.  A rotation is followed
     only when it reaches a pair not yet covered, so every covered pair
@@ -376,6 +372,7 @@ def is_hamiltonian_connected(g: Graph) -> bool:
         key=lambda p: deg[p[0]] + deg[p[1]],
     )
     done = [0] * n  # bit v of done[u]: a Hamilton (u,v)-path is known
+    left = len(pairs)  # the pairs not yet covered
     for u, v in pairs:
         if (done[u] >> v) & 1:
             continue
@@ -384,8 +381,9 @@ def is_hamiltonian_connected(g: Graph) -> bool:
             return False
         done[u] |= 1 << v
         done[v] |= 1 << u
+        left -= 1
         stack = [path]
-        while stack:
+        while stack and left:
             p = stack.pop()
             for q in (p, p[::-1]):
                 row, z = adj[q[0]], q[-1]
@@ -394,6 +392,7 @@ def is_hamiltonian_connected(g: Graph) -> bool:
                     if (row >> q[i]) & 1 and not (done[x] >> z) & 1:
                         done[x] |= 1 << z
                         done[z] |= 1 << x
+                        left -= 1
                         stack.append(q[i - 1::-1] + q[i:])
     return True
 

@@ -6,13 +6,15 @@ neighbor set that no generator of the parent's automorphism group maps
 to a smaller set (each orbit's least set among them), the child is kept
 only when the new vertex lies in the canonical deletion orbit of the
 child, and children of one parent are deduplicated by canonical graph6.
-The brute-force oracle that checks the generator shares only
-the canonical label with it: it labels the connected labeled graphs
-whose degrees are non-decreasing in vertex order, which is exact because
-sorting the vertices by degree gives every isomorphism class such a
-labeling.  The theorem scans then test every graph in range
-against the hypotheses and record exception/counterexample certificates
-as graph6 strings.
+A level lists each parent's sorted children in the parent level's order,
+so `gen` streams it from a depth-first walk of the augmentation tree,
+holding one sibling list per order.  The brute-force oracle that checks
+the generator shares only the canonical label with it: it labels the
+connected labeled graphs whose degrees are non-decreasing in vertex
+order, which is exact because sorting the vertices by degree gives every
+isomorphism class such a labeling.  The theorem scans then test every
+graph in range against the hypotheses and record exception/counterexample
+certificates as graph6 strings.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import or_
 
 from .graphcore import (
@@ -41,7 +43,6 @@ from .graphcore import (
     is_connected,
     marked_label,
     mask_of,
-    to_graph6,
 )
 from .predicates import (
     is_hamiltonian,
@@ -164,8 +165,8 @@ def _mask_table(perm) -> list[int]:
     return t
 
 
-def _grow_level(parents: tuple[str, ...]) -> tuple[str, ...]:
-    """Accepted children of every parent, each parent's sorted by label.
+def _children(parent_g6: str) -> list[str]:
+    """The accepted children of one parent, sorted by label.
 
     Attachment masks are tried in ascending order, skipping every mask
     that a generator of the parent's automorphism group maps to a smaller
@@ -177,34 +178,39 @@ def _grow_level(parents: tuple[str, ...]) -> tuple[str, ...]:
     canonical search of the child, then the marked-label fallback (see
     _canonical_augmentation); an accepted child's graph6 is written from
     the code that search returned."""
-    out: list[str] = []
-    for parent_g6 in parents:
-        parent = from_graph6(parent_g6)
-        n = parent.n + 1
-        cuts = _parent_cuts(parent)
-        lower = {
-            s
-            for perm in automorphism_generators(parent)
-            for s, image in enumerate(_mask_table(perm))
-            if image < s
-        }
-        children: set[str] = set()
-        for smask in range(1, 1 << parent.n):
-            if smask in lower:
-                continue
-            code = _canonical_augmentation(parent, cuts, smask)
-            if code is not None:
-                children.add(_graph6_of_code(n, code))
-        # the children share one order, so graph6 text sorts as the label does
-        out.extend(sorted(children))
-    return tuple(out)
+    parent = from_graph6(parent_g6)
+    cuts = _parent_cuts(parent)
+    lower = {
+        s
+        for perm in automorphism_generators(parent)
+        for s, image in enumerate(_mask_table(perm))
+        if image < s
+    }
+    children: set[str] = set()
+    for smask in range(1, 1 << parent.n):
+        if smask in lower:
+            continue
+        code = _canonical_augmentation(parent, cuts, smask)
+        if code is not None:
+            children.add(_graph6_of_code(parent.n + 1, code))
+    # the children share one order, so graph6 text sorts as the label does
+    return sorted(children)
+
+
+def _sibling_lists(n: int):
+    """_connected_level(n), in order, as one sorted child list per parent, grown depth first."""
+    if not 1 <= n <= ENUM_MAX:
+        raise ValueError(f"order must be within 1..{ENUM_MAX}")
+    if n == 1:
+        return [["@"]]  # K1
+    return (_children(p) for siblings in _sibling_lists(n - 1) for p in siblings)
 
 
 @lru_cache(maxsize=None)
 def _connected_level(n: int) -> tuple[str, ...]:
     if n == 1:
-        return (to_graph6(Graph(1, [0])),)
-    return _grow_level(_connected_level(n - 1))
+        return ("@",)
+    return tuple(chain.from_iterable(map(_children, _connected_level(n - 1))))
 
 
 def connected_graph6(n: int) -> tuple[str, ...]:
@@ -217,8 +223,7 @@ def connected_graph6(n: int) -> tuple[str, ...]:
 
 def enumerate_connected(n: int):
     """The graphs of connected_graph6(n), decoded."""
-    for g6 in connected_graph6(n):
-        yield from_graph6(g6)
+    return map(from_graph6, connected_graph6(n))
 
 
 def brute_force_connected(n: int):

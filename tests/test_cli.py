@@ -3,6 +3,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -381,6 +382,52 @@ def test_gen_feeds_verify_input(capsys, tmp_path):
     )
     assert code == 0
     assert "scanned=6" in out
+
+
+def test_gen_prints_the_cached_level(capsys):
+    _, out = run_cli(capsys, "gen", "--n", "7")
+    assert out == "".join(g6 + "\n" for g6 in verify._connected_level(7))
+
+
+def test_gen_stores_no_level(capsys, monkeypatch):
+    # a fresh cache, as test_growth_search_counts_pinned installs it: gen
+    # walks the augmentation tree without filling it
+    fresh = lru_cache(maxsize=None)(verify._connected_level.__wrapped__)
+    monkeypatch.setattr(verify, "_connected_level", fresh)
+    code, out = run_cli(capsys, "gen", "--n", "6")
+    assert code == 0 and out.count("\n") == 112
+    assert fresh.cache_info().currsize == 0
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_gen_order_nine_memory_is_bounded():
+    """Streaming gen --n 9 (261,080 lines) into a null sink raises the
+    process's peak resident set (VmHWM) by less than 5 MB over the peak
+    after the import; holding every level up to 9 costs about 21 MB."""
+    src = str(Path(stgraphs.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import os, sys\n"
+        "def hwm():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(l.split()[1]) for l in fh if l.startswith('VmHWM:'))\n"
+        "import stgraphs.cli\n"
+        "before = hwm()\n"
+        "out, sys.stdout = sys.stdout, open(os.devnull, 'w')\n"
+        "assert stgraphs.cli.main(['gen', '--n', '9']) == 0\n"
+        "sys.stdout = out\n"
+        "print(hwm() - before)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=600,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 5 * 1024, f"VmHWM grew by {proc.stdout.strip()} kB"
 
 
 @pytest.mark.slow

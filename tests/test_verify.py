@@ -43,10 +43,11 @@ from stgraphs.verify import (
     TheoremReport,
     _canonical_augmentation,
     _judge_edge_bound,
+    _children,
     _connected_level,
-    _grow_level,
     _mask_table,
     _parent_cuts,
+    _sibling_lists,
     _worker_count,
     brute_force_connected,
     connected_graph6,
@@ -279,13 +280,13 @@ def test_mask_orbits_match_brute_force_group(monkeypatch):
                 min(permute_mask_by_bits(p, mask) for p in group) for mask in range(1, 1 << n)
             }
             tried.clear()
-            _grow_level((to_graph6(g),))
+            _children(to_graph6(g))
             assert least <= set(tried), to_graph6(g)
             extra += len(tried) - len(least)
     assert extra == 7
 
 
-def test_grow_level_drops_repeated_children(monkeypatch):
+def test_children_drops_repeated_children(monkeypatch):
     # DLo is the smallest parent with a tried mask whose child repeats
     # another tried mask's: 4 children accepted, 3 distinct
     parent = from_graph6("DLo")
@@ -305,9 +306,20 @@ def test_grow_level_drops_repeated_children(monkeypatch):
         return got
 
     monkeypatch.setattr(verify, "_canonical_augmentation", recording)
-    level = _grow_level(("DLo",))
+    level = _children("DLo")
     assert len(set(level)) == len(level) == len(accepted) - 1
-    assert level == tuple(sorted(every))
+    assert level == sorted(every)
+
+
+def test_sibling_lists_flatten_to_the_cached_levels():
+    # the depth-first walk lists level n in the cached level's order, one
+    # parent's sorted children at a time
+    for n in range(1, 9):
+        lists = list(_sibling_lists(n))
+        assert all(siblings == sorted(siblings) for siblings in lists), n
+        assert tuple(g6 for siblings in lists for g6 in siblings) == _connected_level(n), n
+    with pytest.raises(ValueError, match="order must be within 1..10"):
+        _sibling_lists(11)
 
 
 def test_connected_levels_golden_digest():
