@@ -73,25 +73,22 @@ def _cmd_verify(args) -> int:
     spec = verify.THEOREMS[args.theorem]
     if spec.k_min is None and args.k is not None:
         raise SystemExit(f"error: verify {args.theorem} takes no --k")
-    graphs = None
-    if args.input is not None:
-        if args.input == "-":
-            graphs = verify.read_graph6_lines(sys.stdin)
-        else:
-            # graph6 is ASCII; any other character, or an undecodable
-            # byte read as U+FFFD, is rejected with its line number
-            try:
-                with open(args.input, "r", encoding="utf-8", errors="replace") as fh:
-                    graphs = verify.read_graph6_lines(fh)
-            except OSError as exc:
-                raise SystemExit(f"error: {exc}")
-    run = getattr(verify, spec.entry)
-    if spec.k_min is None:
-        report = run(args.nmax, graphs=graphs, jobs=args.jobs)
-    elif args.k is None:
+    if spec.k_min is not None and args.k is None:
         raise SystemExit(f"error: verify {args.theorem} requires --k")
+    run = getattr(verify, spec.entry)
+    scan_args = (args.nmax,) if args.k is None else (args.nmax, args.k)
+    if args.input is None:
+        report = run(*scan_args, jobs=args.jobs)
+    elif args.input == "-":
+        report = run(*scan_args, graphs=verify.read_graph6_lines(sys.stdin), jobs=args.jobs)
     else:
-        report = run(args.nmax, args.k, graphs=graphs, jobs=args.jobs)
+        # graph6 is ASCII; any other character, or an undecodable byte
+        # read as U+FFFD, is rejected with its line number
+        try:
+            with open(args.input, "r", encoding="utf-8", errors="replace") as fh:
+                report = run(*scan_args, graphs=verify.read_graph6_lines(fh), jobs=args.jobs)
+        except OSError as exc:
+            raise SystemExit(f"error: {exc}")
     print(report.summary())
     for line in report.machine_lines():
         print(line)

@@ -13,16 +13,16 @@ the generator shares only the canonical label with it: it labels the
 connected labeled graphs whose degrees are non-decreasing in vertex
 order, which is exact because sorting the vertices by degree gives every
 isomorphism class such a labeling.  The theorem scans then test every
-graph in range against the hypotheses and record exception/counterexample
-certificates as graph6 strings.
+graph in range against the hypotheses, judging each as they read it, and
+record exception/counterexample certificates as graph6 strings.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import accumulate, chain
+from functools import lru_cache, partial
+from itertools import accumulate, chain, islice
 from operator import or_
 
 from .graphcore import (
@@ -57,6 +57,7 @@ from .predicates import (
 ENUM_MAX = 10
 BOUND_MAX = 9
 BRUTE_MAX = 7
+SCAN_CHUNK = 1024  # graphs per pool task
 
 
 def _parent_cuts(parent: Graph):
@@ -270,20 +271,17 @@ def brute_force_connected(n: int):
 
 
 def read_graph6_lines(lines):
-    """Graphs from an iterable of graph6 lines; blanks and headers tolerated.
-
-    A malformed entry raises Graph6Error naming its 1-based line.
-    """
-    out = []
+    """Graphs decoded lazily from an iterable of graph6 lines; blanks and
+    headers tolerated.  A malformed entry raises Graph6Error naming its
+    1-based line once reached."""
     for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if not line or line == GRAPH6_HEADER:
             continue
         try:
-            out.append(from_graph6(line))
+            yield from_graph6(line)
         except Graph6Error as exc:
             raise Graph6Error(f"line {lineno}: {exc}") from None
-    return out
 
 
 # -- theorem reports -----------------------------------------------------
@@ -436,17 +434,17 @@ def _worker_count(jobs: int, cpus: int | None) -> int:
     return min(jobs, cpus or 1)
 
 
-def _scan_slice(args):
-    """Judge one slice of work items (Graph or graph6); returns the orders
-    seen, the hypothesis hits, and the canonical graph6 certificates."""
-    key, k, items = args
+def _scan_slice(key: str, k: int | None, items):
+    """Judge one slice of work items (Graph or graph6); returns the count,
+    the orders seen, the hits and the canonical graph6 certificates."""
     judge = THEOREMS[key].judge
+    scanned = hits = 0
     orders: set[int] = set()
-    hits = 0
     exceptions: list[tuple[str, str]] = []
     counters: list[str] = []
     for item in items:
         g = from_graph6(item) if isinstance(item, str) else item
+        scanned += 1
         orders.add(g.n)
         h, exception, refuted = judge(g, k)
         hits += h
@@ -454,12 +452,12 @@ def _scan_slice(args):
             counters.append(canonical_graph6(g))
         elif exception is not None:
             exceptions.append((canonical_graph6(g), exception[0]))
-    return orders, hits, exceptions, counters
+    return scanned, orders, hits, exceptions, counters
 
 
 def _scan(key: str, n_max: int, k: int | None, graphs, jobs: int) -> TheoremReport:
     """Run one theorem over the generator's orders 1..n_max, or over the
-    caller's graphs (Graph or graph6 items) when given."""
+    caller's graphs (Graph or graph6 items) as it reads them."""
     spec = THEOREMS[key]
     if spec.k_min is not None and k < spec.k_min:
         raise ValueError(f"k must be at least {spec.k_min}")
@@ -467,30 +465,33 @@ def _scan(key: str, n_max: int, k: int | None, graphs, jobs: int) -> TheoremRepo
     if graphs is None:
         if not 1 <= n_max <= spec.n_max:
             raise ValueError(f"nmax must be within 1..{spec.n_max}")
-        items = [g6 for n in range(1, n_max + 1) for g6 in _connected_level(n)]
+        graphs = chain.from_iterable(map(_connected_level, range(1, n_max + 1)))
         source = ("nmax", n_max)
     else:
-        items = list(graphs)
-        if not items:
-            raise ValueError("no graphs to scan")
         source = ("source", "input")
-    if workers == 1 or len(items) < 2 * workers:
-        parts = [_scan_slice((key, k, items))]
+    items = iter(graphs)
+    head = list(islice(items, SCAN_CHUNK + 1 if workers > 1 else 0))
+    items = chain(head, items)
+    if len(head) <= SCAN_CHUNK:  # one process, or one chunk of input
+        parts = [_scan_slice(key, k, items)]
     else:
-        slices = [(key, k, items[i::workers]) for i in range(workers)]
+        chunks = iter(lambda: list(islice(items, SCAN_CHUNK)), [])
         import multiprocessing  # only a pool needs it; a plain scan skips the import
 
-        with multiprocessing.Pool(workers) as pool:
-            parts = pool.map(_scan_slice, slices)
-    orders = set().union(*(p[0] for p in parts))
+        with multiprocessing.Pool(workers) as pool:  # its feeder waits on the workers
+            parts = list(pool.imap_unordered(partial(_scan_slice, key, k), chunks))
+    scanned, orders, hits, exceptions, counters = zip(*parts)
+    if not sum(scanned):
+        raise ValueError("no graphs to scan")
+    orders = set().union(*orders)
     return TheoremReport(
         spec,
         (min(orders), max(orders)),
         (source,) if spec.k_min is None else (("k", k), source),
-        len(items),
-        sum(p[1] for p in parts),
-        tuple(sorted({e for p in parts for e in p[2]})),
-        tuple(sorted({c for p in parts for c in p[3]})),
+        sum(scanned),
+        sum(hits),
+        tuple(sorted(set().union(*exceptions))),
+        tuple(sorted(set().union(*counters))),
     )
 
 

@@ -826,7 +826,7 @@ def test_reports_identical_across_worker_counts():
 
 def test_input_stream_tolerates_headers_and_blanks():
     lines = ["", ">>graph6<<C~", to_graph6(cycle_graph(4)), "  "]
-    graphs = read_graph6_lines(lines)
+    graphs = list(read_graph6_lines(lines))
     assert [g.n for g in graphs] == [4, 4]
     report = verify_main_theorem(8, 2, graphs=graphs)
     assert report.scanned == 2
@@ -835,11 +835,11 @@ def test_input_stream_tolerates_headers_and_blanks():
 
 
 def test_input_stream_skips_header_only_lines():
-    graphs = read_graph6_lines([">>graph6<<", " >>graph6<< ", "C~"])
+    graphs = list(read_graph6_lines([">>graph6<<", " >>graph6<< ", "C~"]))
     assert [to_graph6(g) for g in graphs] == ["C~"]
     # a header followed by a malformed entry still names that line
     with pytest.raises(Graph6Error, match=r"^line 2: "):
-        read_graph6_lines([">>graph6<<", ">>graph6<<C"])
+        list(read_graph6_lines([">>graph6<<", ">>graph6<<C"]))
 
 
 def test_revalidate_rejects_certificates_the_scan_cannot_emit(monkeypatch):
@@ -855,7 +855,24 @@ def test_revalidate_rejects_certificates_the_scan_cannot_emit(monkeypatch):
 
 def test_input_stream_names_malformed_line():
     with pytest.raises(Graph6Error, match=r"^line 3: malformed length: "):
-        read_graph6_lines(["C~", "", "C"])
+        list(read_graph6_lines(["C~", "", "C"]))
+
+
+def test_input_stream_decodes_lazily():
+    # a graph is decoded only when iteration reaches it, so the lines
+    # before a malformed one are yielded first
+    graphs = read_graph6_lines(["C~", "C"])
+    assert to_graph6(next(graphs)) == "C~"
+    with pytest.raises(Graph6Error, match=r"^line 2: "):
+        next(graphs)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_scans_reject_inputs_without_graphs(monkeypatch, jobs):
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+    for graphs in ([], iter(()), read_graph6_lines([">>graph6<<", "", "  "])):
+        with pytest.raises(ValueError, match="^no graphs to scan$"):
+            verify_edge_bound(8, graphs=graphs, jobs=jobs)
 
 
 def test_scans_reject_empty_ranges():
