@@ -15,13 +15,6 @@ import sys
 from . import graphcore, predicates, verify
 
 
-def _load_graph(text: str) -> graphcore.Graph:
-    try:
-        return graphcore.from_graph6(text)
-    except graphcore.Graph6Error as exc:
-        raise SystemExit(f"error: {exc}")
-
-
 def _cmd_check(args) -> int:
     # every argument is checked before the first line of the report
     if args.k is not None and args.k < 1:
@@ -32,7 +25,7 @@ def _cmd_check(args) -> int:
         raise ValueError("t must be nonnegative")
     if args.t is not None and args.s is None:
         raise ValueError("--t needs --s")
-    g = _load_graph(args.graph6)
+    g = graphcore.from_graph6(args.graph6)
     print(f"graph6: {graphcore.to_graph6(g)}")
     print(f"order: {g.n}")
     print(f"size: {g.edge_count}")
@@ -72,9 +65,9 @@ DEFAULT_NMAX = 8
 def _cmd_verify(args) -> int:
     spec = verify.THEOREMS[args.theorem]
     if spec.k_min is None and args.k is not None:
-        raise SystemExit(f"error: verify {args.theorem} takes no --k")
+        raise ValueError(f"verify {args.theorem} takes no --k")
     if spec.k_min is not None and args.k is None:
-        raise SystemExit(f"error: verify {args.theorem} requires --k")
+        raise ValueError(f"verify {args.theorem} requires --k")
     run = getattr(verify, spec.entry)
     scan_args = (args.nmax,) if args.k is None else (args.nmax, args.k)
     if args.input is None:
@@ -98,11 +91,8 @@ def _cmd_verify(args) -> int:
 def _cmd_find_path(args) -> int:
     from . import pathengine  # only find-path runs the rule engine
 
-    g = _load_graph(args.graph6)
-    try:
-        result = pathengine.improve(g, args.u, args.v, k=args.k)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+    g = graphcore.from_graph6(args.graph6)
+    result = pathengine.improve(g, args.u, args.v, k=args.k)
     if args.trace:
         for move in result.trace:
             print(f"move: {move.format()}")
@@ -190,7 +180,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except ValueError as exc:  # Graph6Error and NoPathError included
         raise SystemExit(f"error: {exc}")
 
 

@@ -82,8 +82,8 @@ class Graph:
     def from_edges(cls, n: int, edges) -> "Graph":
         rows = [0] * n
         for u, v in edges:
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u}, {v}) has an end outside 0..{n - 1}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         return cls(n, rows)

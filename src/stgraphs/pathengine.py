@@ -46,7 +46,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .graphcore import Graph, _degree_cells, bits, component_masks, mask_of
-from .predicates import JoinWitness, sparsest_induced_set
+from .predicates import JoinWitness, _check_endpoints, sparsest_induced_set
 from .verify import THEOREMS
 
 
@@ -339,10 +339,7 @@ def improve(g: Graph, u: int, v: int, k: int | None = None) -> EngineResult:
     ValueError) when u and v are not connected.
     """
     n = g.n
-    if u == v:
-        raise ValueError("endpoints must differ")
-    if not (0 <= u < n and 0 <= v < n):
-        raise ValueError("endpoints out of range")
+    _check_endpoints(g, u, v)
     if k is not None and k < 1:
         raise ValueError("k must be at least 1")
     path = _seed_path(g, u, v)

@@ -323,14 +323,18 @@ def _hamilton_path(adj, n: int, u: int, v: int) -> tuple[int, ...] | None:
     return tuple(path) if dfs(u, 1 << u) else None
 
 
-def hamilton_uv_path(g: Graph, u: int, v: int) -> tuple[int, ...] | None:
-    """A Hamilton (u,v)-path as a vertex tuple, or None if none exists."""
-    n = g.n
-    if not (0 <= u < n and 0 <= v < n):
+def _check_endpoints(g: Graph, u: int, v: int) -> None:
+    """Reject the ends of a Hamilton (u,v)-path request: range first, then u != v."""
+    if not (0 <= u < g.n and 0 <= v < g.n):
         raise ValueError("endpoints out of range")
     if u == v:
         raise ValueError("endpoints must differ")
-    return _hamilton_path(g.adj, n, u, v)
+
+
+def hamilton_uv_path(g: Graph, u: int, v: int) -> tuple[int, ...] | None:
+    """A Hamilton (u,v)-path as a vertex tuple, or None if none exists."""
+    _check_endpoints(g, u, v)
+    return _hamilton_path(g.adj, g.n, u, v)
 
 
 def is_hamiltonian(g: Graph) -> bool:

@@ -199,7 +199,8 @@ def _children(parent_g6: str) -> list[str]:
 
 
 def _sibling_lists(n: int):
-    """_connected_level(n), in order, as one sorted child list per parent, grown depth first."""
+    """connected_graph6(n), in order, as one sorted child list per parent,
+    grown depth first without filling connected_graph6's memo."""
     if not 1 <= n <= ENUM_MAX:
         raise ValueError(f"order must be within 1..{ENUM_MAX}")
     if n == 1:
@@ -208,18 +209,15 @@ def _sibling_lists(n: int):
 
 
 @lru_cache(maxsize=None)
-def _connected_level(n: int) -> tuple[str, ...]:
-    if n == 1:
-        return ("@",)
-    return tuple(chain.from_iterable(map(_children, _connected_level(n - 1))))
-
-
 def connected_graph6(n: int) -> tuple[str, ...]:
     """graph6 strings of one representative per isomorphism class of
-    connected graphs of order n, in a deterministic order."""
+    connected graphs of order n, in a deterministic order.  Memoized with
+    every lower level, which only repeated scans in one process reuse."""
     if not 1 <= n <= ENUM_MAX:
         raise ValueError(f"order must be within 1..{ENUM_MAX}")
-    return _connected_level(n)
+    if n == 1:
+        return ("@",)  # K1
+    return tuple(chain.from_iterable(map(_children, connected_graph6(n - 1))))
 
 
 def enumerate_connected(n: int):
@@ -465,7 +463,7 @@ def _scan(key: str, n_max: int, k: int | None, graphs, jobs: int) -> TheoremRepo
     if graphs is None:
         if not 1 <= n_max <= spec.n_max:
             raise ValueError(f"nmax must be within 1..{spec.n_max}")
-        graphs = chain.from_iterable(map(_connected_level, range(1, n_max + 1)))
+        graphs = chain.from_iterable(map(connected_graph6, range(1, n_max + 1)))
         source = ("nmax", n_max)
     else:
         source = ("source", "input")

@@ -428,14 +428,14 @@ def test_gen_feeds_verify_input(capsys, tmp_path):
 
 def test_gen_prints_the_cached_level(capsys):
     _, out = run_cli(capsys, "gen", "--n", "7")
-    assert out == "".join(g6 + "\n" for g6 in verify._connected_level(7))
+    assert out == "".join(g6 + "\n" for g6 in verify.connected_graph6(7))
 
 
 def test_gen_stores_no_level(capsys, monkeypatch):
     # a fresh cache, as test_growth_search_counts_pinned installs it: gen
     # walks the augmentation tree without filling it
-    fresh = lru_cache(maxsize=None)(verify._connected_level.__wrapped__)
-    monkeypatch.setattr(verify, "_connected_level", fresh)
+    fresh = lru_cache(maxsize=None)(verify.connected_graph6.__wrapped__)
+    monkeypatch.setattr(verify, "connected_graph6", fresh)
     code, out = run_cli(capsys, "gen", "--n", "6")
     assert code == 0 and out.count("\n") == 112
     assert fresh.cache_info().currsize == 0
@@ -709,6 +709,35 @@ def test_package_applies_the_join_rule_only_in_theorem_exception():
     for path in sorted(pkg.rglob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     assert users == ["verify.Theorem.exception"]
+
+
+def test_package_builds_error_lines_only_in_cli_main():
+    # an input error is a ValueError (Graph6Error and NoPathError are ones),
+    # and cli.main alone turns it into an ``error: …`` line; the one other
+    # builder is verify --input's OSError branch, since open raises no ValueError
+    pkg = Path(stgraphs.__file__).resolve().parent
+    builders = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.ExceptHandler) and child.type is not None:
+                visit(child, f"{scope}.except {ast.unparse(child.type)}")
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Name)
+                and child.func.id == "SystemExit"
+                and "error:" in ast.unparse(child)
+            ):
+                builders.append(scope)
+            visit(child, scope)
+
+    for path in sorted(pkg.rglob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert builders == ["cli._cmd_verify.except OSError", "cli.main.except ValueError"]
 
 
 # the ten nmax-8 theorem scans; their report lines are pinned by one digest,

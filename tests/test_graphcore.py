@@ -121,6 +121,12 @@ def test_graph_validation():
         Graph(2, [4, 0])
     with pytest.raises(ValueError):
         Graph.from_edges(3, [(0, 0)])
+    with pytest.raises(ValueError, match="loop at vertex 1"):
+        Graph.from_edges(3, [(0, 1), (1, 1)])
+    with pytest.raises(ValueError, match=r"edge \(0, 5\) has an end outside 0\.\.2"):
+        Graph.from_edges(3, [(0, 5)])
+    with pytest.raises(ValueError, match=r"edge \(-1, 0\) has an end outside 0\.\.2"):
+        Graph.from_edges(3, [(-1, 0)])
     with pytest.raises(ValueError):  # unpickling validates trusted rows too
         pickle.loads(pickle.dumps(Graph._from_rows(2, [0b10, 0b00])))
 

@@ -287,14 +287,18 @@ def test_improve_rejects_disconnected_pair():
         improve(g, 0, 3)
 
 
-@pytest.mark.parametrize("u, v", [(0, 99), (99, 0), (-1, 2), (2, 2)])
+@pytest.mark.parametrize("u, v", [(0, 99), (99, 0), (-1, 2), (2, 2), (99, 99)])
 def test_engine_rejects_bad_endpoints(u, v):
-    # a bad endpoint is an error, not "no Hamilton path", as in the exact search
+    # a bad endpoint is an error, not "no Hamilton path", and both searches
+    # name the same fault: the range is tested before u != v
     c5 = cycle_graph(5)
+    messages = set()
     for search in (hamilton_uv_path, improve):
         with pytest.raises(ValueError) as exc:
             search(c5, u, v)
         assert not isinstance(exc.value, NoPathError)
+        messages.add(str(exc.value))
+    assert len(messages) == 1
 
 
 @pytest.mark.parametrize("k", [0, -1])

@@ -44,7 +44,6 @@ from stgraphs.verify import (
     _canonical_augmentation,
     _judge_edge_bound,
     _children,
-    _connected_level,
     _mask_table,
     _parent_cuts,
     _sibling_lists,
@@ -227,12 +226,12 @@ def test_growth_search_counts_pinned(monkeypatch):
     monkeypatch.setattr(verify, "marked_label", counting_marked)
     monkeypatch.setattr(verify, "_canonical_search", counting_search)
     monkeypatch.setattr(verify, "_canonical_augmentation", counting_augment)
-    # a fresh cache: the recursion looks _connected_level up on the module,
+    # a fresh cache: the recursion looks connected_graph6 up on the module,
     # so every level from 1 is grown again under the counters
     monkeypatch.setattr(
-        verify, "_connected_level", lru_cache(maxsize=None)(verify._connected_level.__wrapped__)
+        verify, "connected_graph6", lru_cache(maxsize=None)(verify.connected_graph6.__wrapped__)
     )
-    verify._connected_level(8)
+    verify.connected_graph6(8)
     assert counts == {
         "marked": 134, "searches": 12162, "accepted": 12138, "fallback_rejects": 24,
     }
@@ -317,14 +316,14 @@ def test_sibling_lists_flatten_to_the_cached_levels():
     for n in range(1, 9):
         lists = list(_sibling_lists(n))
         assert all(siblings == sorted(siblings) for siblings in lists), n
-        assert tuple(g6 for siblings in lists for g6 in siblings) == _connected_level(n), n
+        assert tuple(g6 for siblings in lists for g6 in siblings) == connected_graph6(n), n
     with pytest.raises(ValueError, match="order must be within 1..10"):
         _sibling_lists(11)
 
 
 def test_connected_levels_golden_digest():
     """Pins the canonical representatives that certificates quote."""
-    text = "\n".join(g6 for n in range(1, 8) for g6 in _connected_level(n))
+    text = "\n".join(g6 for n in range(1, 8) for g6 in connected_graph6(n))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "198f4e4cf159cb0e05d62f124d6f729bc1ef30bb51382453ce53158486f1deec"
     )
@@ -333,7 +332,7 @@ def test_connected_levels_golden_digest():
 def test_connected_level_8_pinned():
     """Level 8 as the all-masks augmentation produced it, before growth
     tried one mask per orbit."""
-    level = _connected_level(8)
+    level = connected_graph6(8)
     assert len(level) == 11117
     assert hashlib.sha256("\n".join(level).encode()).hexdigest() == (
         "4e53f6e9c882014277e42beac3b02b2c191a080e0019f28c0ca1e40625b64982"
@@ -434,12 +433,12 @@ def unlabeled_connected_counts(n_max):
 def test_polya_counts_match_generated_levels():
     counts = unlabeled_connected_counts(8)
     for n in range(1, 9):
-        assert len(_connected_level(n)) == counts[n], n
+        assert len(connected_graph6(n)) == counts[n], n
 
 
 @pytest.mark.slow
 def test_polya_count_order_nine():
-    assert len(_connected_level(9)) == unlabeled_connected_counts(9)[9]
+    assert len(connected_graph6(9)) == unlabeled_connected_counts(9)[9]
 
 
 def test_brute_force_examples():
