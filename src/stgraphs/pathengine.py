@@ -40,13 +40,11 @@ test bits of the adjacency rows ``g.adj`` directly.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 from .graphcore import Graph, _degree_cells, bits, component_masks, mask_of
-from .predicates import JoinWitness, _check_endpoints, sparsest_induced_set
+from .predicates import _check_endpoints, sparsest_induced_set
 from .verify import THEOREMS
 
 
@@ -201,20 +199,21 @@ def apply_rule(g: Graph, path: tuple[int, ...], rule_id: str, seq):
 # -- the improvement engine ---------------------------------------------
 
 
-class MoveRecord(NamedTuple):
-    rule_id: str
-    length_before: int
-    length_after: int
+class MoveRecord(namedtuple("MoveRecord", "rule_id length_before length_after")):
+    """One move: its rule id and the path length before and after it."""
+
+    __slots__ = ()
 
     def format(self) -> str:
         return f"{self.rule_id} len {self.length_before}->{self.length_after}"
 
 
-@dataclass(frozen=True)
-class Certificate:
-    kind: str  # join-witness (refutes the pair) | sparse-set (k+1 vertices, <= 1 edge)
-    vertices: tuple[int, ...] = ()
-    witness: JoinWitness | None = None
+class Certificate(namedtuple("Certificate", "kind vertices witness", defaults=((), None))):
+    """A stall's certificate.  ``kind`` is join-witness (``witness``, a
+    predicates.JoinWitness, refutes the pair) or sparse-set
+    (``vertices``, k+1 vertices spanning at most one edge)."""
+
+    __slots__ = ()
 
     def format(self) -> str:
         if self.kind == "join-witness":
@@ -223,11 +222,12 @@ class Certificate:
         return f"sparse-set {list(self.vertices)}"
 
 
-class EngineResult(NamedTuple):
-    outcome: str  # hamilton-path | stalled
-    path: tuple[int, ...] | None
-    certificate: Certificate | None
-    trace: tuple[MoveRecord, ...] = ()
+class EngineResult(namedtuple("EngineResult", "outcome path certificate trace", defaults=((),))):
+    """What ``improve`` returns.  ``outcome`` is hamilton-path or stalled;
+    ``path`` the final (u,v)-path; ``certificate`` a Certificate or None;
+    ``trace`` the MoveRecords of the moves made, in order."""
+
+    __slots__ = ()
 
 
 # masks of the vertices of each degree that occurs, lowest first, keyed

@@ -20,7 +20,7 @@ pairs no rotation reaches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .graphcore import Graph, bits, canonical_label, component_masks, mask_of, petersen_graph
 
@@ -404,16 +404,15 @@ def is_hamiltonian_connected(g: Graph) -> bool:
 # -- join-exception recognizers -----------------------------------------
 
 
-@dataclass(frozen=True)
-class JoinWitness:
+class JoinWitness(namedtuple("JoinWitness", "independent_part rest")):
     """Certificate that a graph is the join of an independent set with the rest.
 
     Every vertex of ``independent_part`` is adjacent to exactly the
-    vertices of ``rest``; the two parts partition the vertex set.
+    vertices of ``rest``; the two parts, tuples of vertex ids, partition
+    the vertex set.
     """
 
-    independent_part: tuple[int, ...]
-    rest: tuple[int, ...]
+    __slots__ = ()
 
     def validate(self, g: Graph) -> bool:
         s = set(self.independent_part)

@@ -20,7 +20,7 @@ record exception/counterexample certificates as graph6 strings.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache, partial
 from itertools import accumulate, chain, islice
 from operator import or_
@@ -285,15 +285,19 @@ def read_graph6_lines(lines):
 # -- theorem reports -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TheoremReport:
-    theorem: Theorem  # the THEOREMS entry that was scanned
-    n_range: tuple[int, int]
-    params: tuple[tuple[str, int | str], ...]  # k, then nmax=N or source=input
-    scanned: int
-    hypothesis_hits: int
-    exceptions: tuple[tuple[str, str], ...]  # (graph6, witness kind)
-    counterexamples: tuple[str, ...]
+class TheoremReport(
+    namedtuple(
+        "TheoremReport",
+        "theorem n_range params scanned hypothesis_hits exceptions counterexamples",
+    )
+):
+    """What one scan found.  ``theorem`` is the THEOREMS entry that was
+    scanned; ``n_range`` the (lowest, highest) order seen; ``params`` the
+    (name, value) pairs k, then nmax=N or source=input; ``exceptions``
+    sorted (graph6, witness kind) pairs; ``counterexamples`` sorted
+    graph6 strings."""
+
+    __slots__ = ()
 
     @property
     def verified(self) -> bool:
@@ -352,8 +356,13 @@ def _judge_edge_bound(g: Graph, k: int):
     return len(orders), None, refuted
 
 
-@dataclass(frozen=True)
-class Theorem:
+class Theorem(
+    namedtuple(
+        "Theorem",
+        "name k_min claim entry n_max d t connected join petersen",
+        defaults=(ENUM_MAX, None, 2, True, None, False),
+    )
+):
     """One theorem scan.  With ``d`` set, every k-connected [k+d, t]-graph
     of order >= 3 is hamiltonian-connected (hamiltonian unless
     ``connected``) exactly unless ``exception`` recognizes it: the
@@ -363,22 +372,14 @@ class Theorem:
     stall certificate and ``cli check`` call main's.  The judge gates in
     the order: order >= max(3, k+1), minimum degree >= k (implied by
     kappa >= k, and the cheapest test), [k+d, t], kappa >= k, then the
-    exception and the conclusion.  ``k_min`` is the smallest k taken
-    (None: no k), ``n_max`` caps generated orders, and ``entry`` names the public scan
-    function.  Callers look ``entry`` up, and the judge its predicates,
+    exception and the conclusion.  ``name`` heads the REPORT line and
+    ``claim`` the summary.  ``k_min`` is the smallest k taken (None: no
+    k), ``n_max`` caps generated orders, and ``entry`` names the public
+    scan function.  Callers look ``entry`` up, and the judge its predicates,
     on this module at call time, so wrappers installed there see them.
     """
 
-    name: str
-    k_min: int | None
-    claim: str
-    entry: str
-    n_max: int = ENUM_MAX
-    d: int | None = None
-    t: int = 2
-    connected: bool = True
-    join: int | None = None
-    petersen: bool = False
+    __slots__ = ()
 
     def exception(self, g: Graph, k: int):
         """(kind, witness or None) when g is an exception of this theorem
@@ -540,14 +541,12 @@ def revalidate_report(report: TheoremReport) -> bool:
 # -- minimum-size search ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MinSizeResult:
-    n: int
-    s: int
-    t: int
-    lower_bound: int
-    minimum: int | None
-    witness: str | None  # graph6 of a minimizer
+class MinSizeResult(namedtuple("MinSizeResult", "n s t lower_bound minimum witness")):
+    """The exact minimum size of a connected [s,t]-graph of order n, or
+    None when there is none, with the double-counting ``lower_bound``
+    and ``witness``, the graph6 of a minimizer (None with no minimum)."""
+
+    __slots__ = ()
 
     def summary(self) -> str:
         if self.minimum is None:

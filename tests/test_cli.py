@@ -540,36 +540,33 @@ def test_console_entry_point_subprocess():
     assert "order: 4" in proc.stdout
 
 
-def test_cli_import_does_not_load_multiprocessing():
-    # a scan imports multiprocessing only when it makes a worker pool
+@pytest.mark.parametrize(
+    "module, unused",
+    [
+        # a scan imports multiprocessing only when it makes a worker pool,
+        # and only find-path runs the rule engine, so only it imports pathengine
+        ("stgraphs.cli", ("multiprocessing", "stgraphs.pathengine")),
+        ("stgraphs.pathengine", ()),
+    ],
+    ids=["cli", "pathengine"],
+)
+def test_import_loads_no_module_the_package_does_not_run(module, unused):
+    # the records are namedtuples, so no import pulls in dataclasses (and
+    # with it inspect) or typing; -S keeps site's .pth files from
+    # preloading typing, which would hide such an import
+    unused += ("dataclasses", "inspect", "typing")
     src = str(Path(stgraphs.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import sys, stgraphs.cli; print('multiprocessing' in sys.modules)"
+    code = f"import sys, {module}; print(sorted(set({unused!r}) & sys.modules.keys()))"
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-S", "-c", code],
         capture_output=True,
         text=True,
         timeout=120,
         env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
-
-
-def test_cli_import_does_not_load_pathengine():
-    # only find-path runs the rule engine, so only it imports pathengine
-    src = str(Path(stgraphs.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import sys, stgraphs.cli; print('stgraphs.pathengine' in sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env=dict(os.environ, PYTHONPATH=path),
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_package_imports_only_the_standard_library():

@@ -1,7 +1,6 @@
 import hashlib
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -846,7 +845,7 @@ def test_revalidate_rejects_certificates_the_scan_cannot_emit(monkeypatch):
     pet = to_graph6(canonical_form(petersen_graph()))
     c5 = to_graph6(canonical_form(cycle_graph(5)))
     for forged in (report.exceptions + ((pet, "petersen"),), ((c5, "join-witness"),)):
-        assert not revalidate_report(replace(report, exceptions=forged))
+        assert not revalidate_report(report._replace(exceptions=forged))
     # a recognizer whose witness does not split the graph fails revalidation
     monkeypatch.setattr(verify, "join_witness", lambda g, k: JoinWitness((0,), (0,)))
     assert not revalidate_report(report)
