@@ -540,24 +540,13 @@ def test_console_entry_point_subprocess():
     assert "order: 4" in proc.stdout
 
 
-@pytest.mark.parametrize(
-    "module, unused",
-    [
-        # a scan imports multiprocessing only when it makes a worker pool,
-        # and only find-path runs the rule engine, so only it imports pathengine
-        ("stgraphs.cli", ("multiprocessing", "stgraphs.pathengine")),
-        ("stgraphs.pathengine", ()),
-    ],
-    ids=["cli", "pathengine"],
-)
-def test_import_loads_no_module_the_package_does_not_run(module, unused):
-    # the records are namedtuples, so no import pulls in dataclasses (and
-    # with it inspect) or typing; -S keeps site's .pth files from
-    # preloading typing, which would hide such an import
-    unused += ("dataclasses", "inspect", "typing")
+def _loaded_after_import(module, names):
+    # which of ``names`` a fresh interpreter holds after importing
+    # ``module``; -S keeps site's .pth files from preloading typing, which
+    # would hide such an import
     src = str(Path(stgraphs.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = f"import sys, {module}; print(sorted(set({unused!r}) & sys.modules.keys()))"
+    code = f"import sys, {module}; print(sorted(set({names!r}) & sys.modules.keys()))"
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],
         capture_output=True,
@@ -566,7 +555,24 @@ def test_import_loads_no_module_the_package_does_not_run(module, unused):
         env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_cli_import_does_not_load_multiprocessing():
+    # a scan imports multiprocessing only when it makes a worker pool
+    assert _loaded_after_import("stgraphs.cli", ("multiprocessing",)) == "[]"
+
+
+def test_cli_import_does_not_load_pathengine():
+    # only find-path runs the rule engine, so only it imports pathengine
+    assert _loaded_after_import("stgraphs.cli", ("stgraphs.pathengine",)) == "[]"
+
+
+@pytest.mark.parametrize("module", ["stgraphs.cli", "stgraphs.pathengine"], ids=["cli", "pathengine"])
+def test_import_loads_no_module_the_package_does_not_run(module):
+    # the records are namedtuples, so no import pulls in dataclasses (and
+    # with it inspect) or typing
+    assert _loaded_after_import(module, ("dataclasses", "inspect", "typing")) == "[]"
 
 
 def test_package_imports_only_the_standard_library():
